@@ -123,21 +123,27 @@ def _need(kv: dict[str, str], key: str) -> str:
     return kv[key]
 
 
-def _as_float(kv: dict[str, str], key: str) -> float:
+def _as_float(kv: dict[str, str], key: str, default: Optional[float] = None) -> float:
+    raw = _need(kv, key) if default is None else kv.get(key, default)
     try:
-        return float(_need(kv, key))
+        return float(raw)
     except ValueError as exc:
-        raise ScenarioError(f"key {key!r}: not a number ({kv[key]!r})") from exc
+        raise ScenarioError(f"key {key!r}: not a number ({raw!r})") from exc
+
+
+def _as_int(kv: dict[str, str], key: str, default: Optional[int] = None) -> int:
+    raw = _need(kv, key) if default is None else kv.get(key, default)
+    try:
+        return int(raw)
+    except ValueError as exc:
+        raise ScenarioError(f"key {key!r}: not an integer ({raw!r})") from exc
 
 
 def _family(kind: str, kv: dict[str, str], prefix: str):
     if kind == "normal":
         return Normal(_as_float(kv, f"{prefix}.sigma2"))
     if kind == "negative_binomial":
-        try:
-            return NegativeBinomial(int(_need(kv, f"{prefix}.r")))
-        except ValueError as exc:
-            raise ScenarioError(f"key {prefix}.r: not an integer") from exc
+        return NegativeBinomial(_as_int(kv, f"{prefix}.r"))
     if kind == "binomial":
         return Binomial()
     if kind == "poisson":
@@ -187,8 +193,8 @@ def parse_scenario(path: str | Path) -> Scenario:
     elif kind in ("d", "phi_p"):
         p = 0.0
         if kind == "phi_p":
-            raw = _need(kv, "criterion.p")
-            p = -math.inf if raw.strip() in ("-inf", "-infinity") else float(raw)
+            raw = _need(kv, "criterion.p").strip()
+            p = -math.inf if raw in ("-inf", "-infinity") else _as_float(kv, "criterion.p")
         K = None
         if "criterion.k11" in kv and "criterion.k22" in kv:
             k11 = _parse_matrix(kv["criterion.k11"])
@@ -208,11 +214,11 @@ def parse_scenario(path: str | Path) -> Scenario:
         reference = _design_from_triples(kv["reference.design"])
 
     opts = SolveOptions(
-        grid_size=int(kv.get("solver.grid_size", 257)),
-        max_iterations=int(kv.get("solver.max_iterations", 400)),
-        weight_tolerance=float(kv.get("solver.weight_tolerance", 1e-4)),
-        multistart_count=int(kv.get("solver.multistart", 4)),
-        seed=int(kv.get("solver.seed", 0)),
+        grid_size=_as_int(kv, "solver.grid_size", 257),
+        max_iterations=_as_int(kv, "solver.max_iterations", 400),
+        weight_tolerance=_as_float(kv, "solver.weight_tolerance", 1e-4),
+        multistart_count=_as_int(kv, "solver.multistart", 4),
+        seed=_as_int(kv, "solver.seed", 0),
     )
     return Scenario(drug, control, criterion, reference, opts)
 
@@ -268,7 +274,7 @@ def write_design_csv(design: Design, path: str | Path) -> None:
         writer = csv.writer(fh)
         writer.writerow(["dose", "arm", "weight"])
         for (dose, arm), w in zip(design.points, design.weights):
-            writer.writerow([f"{dose:.6g}", arm, f"{w:.6g}"])
+            writer.writerow([repr(float(dose)), arm, repr(float(w))])
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,9 @@
 
 Closed forms cover the D-optimal designs for both mean curves under all four
 families and the Elfving-geometry c-optimal designs for the Michaelis-Menten
-curve.  A grid linear program solves general c-optimal problems, and a
-sensitivity-driven exchange algorithm handles arbitrary contrasts and p.
+curve.  General c-optimal problems take one Elfving LP, then closed-form
+support weights, and a sensitivity-driven exchange algorithm handles
+arbitrary contrasts and p.
 Joint designs are assembled from drug-only solutions by the allocation rule
 w_control = 1/(1+rho_p).
 """
@@ -57,6 +58,7 @@ from .models import (
 from .scalar_opt import bracketed_root, golden_max
 
 MERGE_FRACTION = 1e-6  # support doses closer than this fraction of R-L merge
+LP_GRID_SIZE = 401  # doses in the Elfving LP of c_opt_numeric
 
 
 @dataclass(frozen=True)
@@ -380,7 +382,7 @@ def _finish_elfving(
     tag: str,
 ) -> ElfvingSolution:
     """Attach gamma, signs and delta, enforcing the boundary representation."""
-    F = np.array([_regression_full(drug, d) for d in doses]).T  # (m, k)
+    F = np.array([drug.regression_vector(d) for d in doses]).T  # (m, k)
     target = np.zeros(F.shape[0])
     target[: c.size] = c
     gamma, signs = _representation(F, target, weights)
@@ -398,11 +400,6 @@ def _finish_elfving(
         tag,
         delta,
     )
-
-
-def _regression_full(drug: DrugModel, d: float) -> np.ndarray:
-    """Mean-parameter regression vector (the dose-dependent information factor)."""
-    return drug.regression_vector(d)
 
 
 def _representation(F: np.ndarray, c: np.ndarray, weights: list[float]) -> tuple[float, tuple[int, ...]]:
@@ -427,11 +424,15 @@ def _representation(F: np.ndarray, c: np.ndarray, weights: list[float]) -> tuple
 
 
 # ---------------------------------------------------------------------------
-# c-optimal designs: grid linear program (any mean curve)
+# c-optimal designs: one Elfving LP, then closed-form support weights
 # ---------------------------------------------------------------------------
 
-def _copt_lp(F: np.ndarray, c: np.ndarray) -> tuple[float, np.ndarray]:
-    """Maximize gamma with gamma*c in the convex hull of +-f rows of F."""
+def _copt_lp(F: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Maximize gamma with gamma*c in the convex hull of +-f rows of F.
+
+    Returns the signed mass on each row; the solution is basic, so at most
+    len(c) rows carry mass.
+    """
     n, s = F.shape
     A_eq = np.zeros((s + 1, 2 * n + 1))
     A_eq[:s, :n] = F.T
@@ -442,83 +443,62 @@ def _copt_lp(F: np.ndarray, c: np.ndarray) -> tuple[float, np.ndarray]:
     b_eq[s] = 1.0
     cost = np.zeros(2 * n + 1)
     cost[2 * n] = -1.0
-    res = linprog(cost, A_eq=A_eq, b_eq=b_eq, bounds=[(0, None)] * (2 * n + 1), method="highs")
+    res = linprog(cost, A_eq=A_eq, b_eq=b_eq, method="highs")  # default bounds x >= 0
     if res.status != 0:
         raise EstimabilityError(f"c-optimal linear program failed: {res.message}")
-    return float(res.x[2 * n]), res.x[:n] - res.x[n : 2 * n]
+    return res.x[:n] - res.x[n : 2 * n]
 
 
-def c_opt_numeric(
-    drug: DrugModel, c_vector: np.ndarray, grid_size: int = 4001, rounds: int = 6
-) -> ElfvingSolution:
-    """c-optimal induced design by an Elfving grid LP with local refinement.
+def c_opt_numeric(drug: DrugModel, c_vector: np.ndarray) -> ElfvingSolution:
+    """c-optimal induced design: one Elfving LP, then closed-form support weights.
 
-    A one-point design at the dose whose gradient ray carries the contrast
-    is preferred whenever it attains the LP bound; the LP can otherwise
-    return an equivalent spread representation of a flat boundary face.
+    The LP runs once on a fixed dose grid, with the one-point dose d* added
+    when the contrast lies on a gradient ray.  Its basic solution has at
+    most n_mean_params support points (Elfving 1952); golden-section moves
+    of the interior doses then minimize the variance bound, with the
+    optimal weights on each trial support in closed form.  The one-point
+    design at d* is preferred whenever it attains the bound, since the LP
+    can return an equivalent spread representation of a flat boundary face.
     """
     c = np.asarray(c_vector, float).reshape(-1)
     if c.size != drug.n_mean_params:
         raise UnsupportedCaseError("contrast length must match the mean parameters")
     L, R = drug.dose_range
-    backbone = np.linspace(L, R, 201)
-    doses = np.linspace(L, R, grid_size)
-    gamma, z, sd, sz = 0.0, None, None, None
-    for it in range(rounds):
-        F = np.array([drug.regression_vector(d) for d in doses])
-        gamma, z = _copt_lp(F, c)
-        supp = np.abs(z) > 1e-10 * np.max(np.abs(z))
-        sd, sz = doses[supp], z[supp]
-        if it < rounds - 1:
-            span = max((doses[1] - doses[0]) * 12.0, 1e-9 * (R - L))
-            local = [
-                np.linspace(max(L, d - span), min(R, d + span), 401) for d in sd
-            ]
-            doses = np.unique(np.concatenate(local + [backbone, np.array([L, R])]))
-    order = np.argsort(sd)
-    sd, sz = sd[order], sz[order]
-    merged: list[list[float]] = []
-    for d, zv in zip(sd, sz):
-        if merged and d - merged[-1][0] <= MERGE_FRACTION * (R - L) * 10:
-            d0, z0 = merged[-1]
-            w0, w1 = abs(z0), abs(zv)
-            merged[-1] = [(d0 * w0 + d * w1) / (w0 + w1), z0 + zv]
-        else:
-            merged.append([d, zv])
-    sd = [m[0] for m in merged]
-    sd, weights, delta_lp = _polish_support(drug, c, sd)
-
-    # the LP value carries solver noise, so the shortcut comparison is slack
+    doses = np.linspace(L, R, LP_GRID_SIZE)
     one_point = _one_point_candidate(drug, c)
     if one_point is not None:
+        doses = np.unique(np.append(doses, one_point[0]))
+    z = _copt_lp(np.array([drug.regression_vector(d) for d in doses]), c)
+    supp = np.abs(z) > 1e-10 * np.max(np.abs(z))
+    sd, weights, delta = _polish_support(drug, c, doses[supp])
+    if one_point is not None:
         d1, delta1 = one_point
-        if delta1 <= delta_lp * (1.0 + 1e-6):
+        if delta1 <= delta * (1.0 + 1e-6):
             return _finish_elfving(drug, c, [d1], [1.0], "one-point")
-    return _finish_elfving(drug, c, list(sd), list(weights), "numeric")
+    return _finish_elfving(drug, c, sd, list(weights), "numeric")
 
 
-def _support_delta(drug: DrugModel, c: np.ndarray, doses) -> tuple[float, np.ndarray]:
-    """Optimal delta over designs on a fixed support (tiny Elfving LP).
+def _support_delta(F: np.ndarray, c: np.ndarray) -> tuple[float, np.ndarray]:
+    """Least c^T M^- c over designs on the support with regression rows F.
 
-    Infeasible supports (c leaves the span of the regression vectors, which
-    happens when fewer support points than parameters are perturbed) count
-    as infinitely bad.
+    For k <= m linearly independent rows with F^T a = c the optimum is
+    (sum |a|)^2 at weights |a| / sum |a| (Elfving 1952; Pukelsheim 1993).
+    Supports that lose rank or leave c outside their span (which happens
+    when a dose of a short support moves) count as infinitely bad.
     """
-    F = np.array([drug.regression_vector(d) for d in doses])
-    try:
-        gamma, z = _copt_lp(F, c)
-    except EstimabilityError:
-        return np.inf, np.zeros(len(doses))
-    if gamma <= 0:
-        return np.inf, np.zeros(len(doses))
-    return 1.0 / gamma**2, np.abs(z) / np.abs(z).sum()
+    a, _, rank, _ = np.linalg.lstsq(F.T, c, rcond=None)
+    if rank < F.shape[0] or np.max(np.abs(F.T @ a - c)) > 1e-9 * np.max(np.abs(c)):
+        return np.inf, np.zeros(F.shape[0])
+    total = float(np.abs(a).sum())
+    return total**2, np.abs(a) / total
 
 
 def _polish_support(drug: DrugModel, c: np.ndarray, doses):
     """Refine interior support doses by golden-section on the variance bound."""
     L, R = drug.dose_range
     doses = sorted(float(d) for d in doses)
-    delta, weights = _support_delta(drug, c, doses)
+    F = np.array([drug.regression_vector(d) for d in doses])
+    delta, weights = _support_delta(F, c)
     # only full supports keep the representation feasible while a dose moves
     if len(doses) >= c.size and np.isfinite(delta):
         span = 0.02 * (R - L)
@@ -526,11 +506,11 @@ def _polish_support(drug: DrugModel, c: np.ndarray, doses):
             for i, d in enumerate(doses):
                 if d <= L + 1e-12 * (R - L) or d >= R - 1e-12 * (R - L):
                     continue
+                trial = F.copy()
 
                 def merit(x: float) -> float:
-                    trial = doses.copy()
-                    trial[i] = x
-                    dval, _ = _support_delta(drug, c, trial)
+                    trial[i] = drug.regression_vector(x)
+                    dval, _ = _support_delta(trial, c)
                     return -dval if np.isfinite(dval) else -1e300
 
                 x_new, m_new = golden_max(
@@ -538,9 +518,10 @@ def _polish_support(drug: DrugModel, c: np.ndarray, doses):
                 )
                 if np.isfinite(m_new) and -m_new < delta:
                     doses[i] = x_new
+                    F[i] = drug.regression_vector(x_new)
                     delta = -m_new
             span *= 0.1
-        delta, weights = _support_delta(drug, c, doses)
+        delta, weights = _support_delta(F, c)
     snap = 1e-9 * (R - L)
     doses = [L if d - L <= snap else (R if R - d <= snap else d) for d in doses]
     keep = weights > 1e-12
@@ -608,10 +589,10 @@ def ac_optimal(drug: DrugModel, control: ControlModel) -> Design:
     """Locally AC-optimal design: best design for estimating the target dose.
 
     Solves the induced c-optimal problem for the mean-curve gradient at the
-    target dose (closed Elfving geometry for MM, grid LP otherwise), then
-    splits mass between arms.  The control share is computed both from the
-    general rho_{-1} ratio and from the published family-specific formula;
-    the two must agree.
+    target dose (closed Elfving geometry for MM; otherwise one Elfving LP,
+    then closed-form support weights), then splits mass between arms.  The
+    control share is computed both from the general rho_{-1} ratio and from
+    the published family-specific formula; the two must agree.
     """
     _require_matched(drug, control)
     dstar = target_dose(drug, control)

@@ -209,6 +209,34 @@ def _ac_oracle_psi(design, drug, ctrl):
     return float(g1 @ np.linalg.solve(M, g1)) + v2 / design.control_weight
 
 
+def test_criterion3_ac_low_control_mean_draws():
+    # Emax draws whose control mean sits low on the curve; a c-optimal LP
+    # over densely refined dose grids stopped on them with HiGHS status 15
+    # (model status unknown).  _ac_oracle covers the binomial draw only, so
+    # the Poisson draw rests on the equivalence theorem alone
+    spec = CriterionSpec("ac")
+    drug = DrugModel(Binomial(), Emax(0.29774947830790427, 0.5949099233471883,
+                                      28.684051519862763), (0.0, 200.0))
+    ctrl = ControlModel(Binomial(), 0.3995243036879216)
+    des = ac_optimal(drug, ctrl)
+    psi = psi_ac(des, drug, ctrl)
+    doses, weights, wc, psi_min = _ac_oracle(drug, ctrl)
+    ok = abs(psi - psi_min) <= 1e-4 * psi_min
+    report(3, "low control mean binomial AC psi vs oracle", ok,
+           f"certified {psi:.6g}, oracle {psi_min:.6g}")
+    assert ok
+    _assert_design(3, "low control mean binomial AC design vs oracle", des, doses, weights, wc)
+    assert verify(des, drug, ctrl, spec).verdict == "optimal"
+
+    drug = DrugModel(Poisson(), Emax(0.190874449885709, 0.3840529208397822,
+                                     9.322650444017798), (0.0, 300.0))
+    ctrl = ControlModel(Poisson(), 0.3092615330420152)
+    rep = verify(ac_optimal(drug, ctrl), drug, ctrl, spec)
+    report(3, "low control mean Poisson AC design", rep.verdict == "optimal",
+           f"max violation {rep.max_violation:.3g}")
+    assert rep.verdict == "optimal"
+
+
 def test_criterion1_gouty_negbin_dose_as_published():
     # published interior dose 8.23.  The equal-weight design on (0, 8.23, 300)
     # breaks the equivalence theorem for the printed parameters, so the

@@ -136,3 +136,41 @@ def test_ac_scenario_solved_and_verified(tmp_path):
     report = json.loads((out / "report.json").read_text())
     assert report["criterion"]["kind"] == "ac"
     assert report["verification"]["verdict"] == "optimal"
+
+
+MM_NORMAL_AC = """
+drug.family = normal
+drug.mean = michaelis_menten
+drug.emax = 0.8116194508521042
+drug.ed50 = 14.779282598127521
+drug.sigma2 = 0.0025
+dose.min = 0
+dose.max = 100
+control.mu = 0.4343271682386073
+control.sigma2 = 0.0025
+criterion.kind = ac
+"""
+
+
+def test_one_point_ac_design_survives_csv_round_trip(tmp_path, capsys):
+    # the optimum is one drug dose at the target dose; a dose rounded to six
+    # digits can no longer estimate the target dose
+    scn = write(tmp_path, "ac.scn", MM_NORMAL_AC)
+    out = tmp_path / "out"
+    assert main(["solve", scn, "--out", str(out)]) == 0
+    assert sum(1 for row in json.loads((out / "report.json").read_text())["design"]
+               if row["arm"] == 0) == 1
+    capsys.readouterr()
+    assert main(["verify", scn, str(out / "design.csv"), "--out", str(out), "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["verdict"] == "optimal"
+
+
+@pytest.mark.parametrize("key", [
+    "solver.grid_size", "solver.max_iterations", "solver.weight_tolerance",
+    "solver.multistart", "solver.seed", "criterion.p",
+])
+def test_non_numeric_value_rejected(tmp_path, capsys, key):
+    lines = [line for line in REMARK1.splitlines() if not line.startswith(f"{key} ")]
+    scn = write(tmp_path, "bad.scn", "\n".join(lines + [f"{key} = abc", ""]))
+    assert main(["solve", scn]) == 2
+    assert capsys.readouterr().err.startswith("error:")

@@ -254,7 +254,7 @@ def test_elfving_matches_lp_oracle():
             dstar = rng.uniform(L + 0.02 * (R - L), 0.9 * R)
             c = response_gradient(drug, dstar)[: drug.n_mean_params]
             closed = c_opt_elfving_2d(drug, c)
-            lp = c_opt_numeric(drug, c, grid_size=1501, rounds=4)
+            lp = c_opt_numeric(drug, c)
             assert closed.delta == pytest.approx(lp.delta, rel=1e-6)
             if len(closed.doses) == len(lp.doses):
                 assert np.asarray(closed.doses) == pytest.approx(
@@ -290,7 +290,7 @@ def test_elfving_binomial_three_cases_vs_lp():
         closed = c_opt_elfving_2d(drug, c)
         assert closed.case_tag == tag
         assert np.asarray(closed.doses) == pytest.approx(doses, rel=1e-9)
-        lp = c_opt_numeric(drug, c, grid_size=1501, rounds=4)
+        lp = c_opt_numeric(drug, c)
         assert closed.delta == pytest.approx(lp.delta, rel=1e-7)
 
 
