@@ -25,10 +25,11 @@ from .criteria import (
     ac_efficiency,
     d_efficiency,
     phi_p,
+    phi_p_efficiency,
     psi_ac,
 )
 from .designs import ARM_CONTROL, Design
-from .equivalence import verify
+from .equivalence import SensitivityReport, verify
 from .exceptions import AcdesignError, ScenarioError
 from .models import (
     Binomial,
@@ -292,14 +293,15 @@ def _closed_form_method(scn: Scenario) -> Optional[str]:
     return None
 
 
-def _solve_scenario(scn: Scenario) -> tuple[Design, str, bool, float]:
+def _solve_scenario(scn: Scenario) -> tuple[Design, str, bool, float, Optional[SensitivityReport]]:
+    """Design, method, convergence, residual and the solver's own certificate."""
     method = _closed_form_method(scn)
     if method == "closed-form/ac" or method == "numeric/ac-elfving":
-        return ac_optimal(scn.drug, scn.control), method, True, 0.0
+        return ac_optimal(scn.drug, scn.control), method, True, 0.0, None
     if method is not None:
-        return solve_d_optimal(scn.drug, scn.control), method, True, 0.0
+        return solve_d_optimal(scn.drug, scn.control), method, True, 0.0, None
     result = numeric_solve(scn.drug, scn.control, scn.criterion, scn.options)
-    return result.design, result.method, result.converged, result.max_violation
+    return result.design, result.method, result.converged, result.max_violation, result.report
 
 
 def cmd_solve(args) -> int:
@@ -312,8 +314,9 @@ def cmd_solve(args) -> int:
             multistart_count=scn.options.multistart_count,
             seed=args.seed if args.seed is not None else scn.options.seed,
         )
-    design, method, converged, residual = _solve_scenario(scn)
-    report = verify(design, scn.drug, scn.control, scn.criterion, tol=args.tol)
+    design, method, converged, residual, report = _solve_scenario(scn)
+    if report is None or report.tol != args.tol:
+        report = verify(design, scn.drug, scn.control, scn.criterion, tol=args.tol)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     write_design_csv(design, out_dir / "design.csv")
@@ -393,13 +396,14 @@ def cmd_efficiency(args) -> int:
     if scn.criterion.kind == "ac":
         optimum = ac_optimal(scn.drug, scn.control)
         values["ac_efficiency"] = ac_efficiency(design, optimum, scn.drug, scn.control)
+    elif scn.criterion.p == 0.0 and scn.criterion.K is None:
+        optimum = solve_d_optimal(scn.drug, scn.control)
+        values["d_efficiency"] = d_efficiency(design, optimum, scn.drug, scn.control)
     else:
-        if scn.criterion.p == 0.0 and scn.criterion.K is None:
-            optimum = solve_d_optimal(scn.drug, scn.control)
-        else:
-            optimum = numeric_solve(scn.drug, scn.control, scn.criterion, scn.options).design
-        K = scn.criterion.K
-        values["d_efficiency"] = d_efficiency(design, optimum, scn.drug, scn.control, K)
+        optimum = numeric_solve(scn.drug, scn.control, scn.criterion, scn.options).design
+        values["phi_p_efficiency"] = phi_p_efficiency(
+            design, optimum, scn.drug, scn.control, scn.criterion.K, scn.criterion.p
+        )
     payload = {k: sig6(v) for k, v in values.items()}
     if args.json:
         print(json.dumps(payload, indent=2))

@@ -263,19 +263,23 @@ def _clamp_efficiency(value: float) -> float:
     return min(max(value, 0.0), 1.0)
 
 
-def d_efficiency(
+def phi_p_efficiency(
     design: Design,
     optimum: Design,
     drug: DrugModel,
     control: ControlModel,
     K: Optional[KMatrix] = None,
+    p: float = 0.0,
 ) -> float:
-    """phi_0 ratio of a candidate design to the D-optimal design."""
+    """phi_p ratio of a candidate design to the phi_p-optimal design."""
     if K is None:
         K = KMatrix.block_identity(drug.n_params, control.n_params)
-    val = phi_p(design, drug, control, K, 0.0)
-    ref = phi_p(optimum, drug, control, K, 0.0)
+    val = phi_p(design, drug, control, K, p)
+    ref = phi_p(optimum, drug, control, K, p)
     return _clamp_efficiency(val / ref)
+
+
+d_efficiency = phi_p_efficiency  # p = 0: the ratio to the D-optimal design
 
 
 def ac_efficiency(

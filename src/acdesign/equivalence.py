@@ -11,7 +11,7 @@ inverse alone can fail to witness optimality of singular designs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -20,24 +20,8 @@ from scipy.optimize import linprog
 from .criteria import CriterionSpec, KMatrix, ac_contrast
 from .designs import ARM_CONTROL, ARM_DRUG, Design, info_matrix, pseudo_inverse, estimable
 from .exceptions import EstimabilityError, UnsupportedCaseError
-from .models import ControlModel, DrugModel
+from .models import ControlModel, DrugModel, Normal
 from .scalar_opt import golden_max
-
-
-def point_information(
-    point: tuple[float, int], drug: DrugModel, control: ControlModel
-) -> np.ndarray:
-    """Joint-space per-observation information at a single (dose, arm) point."""
-    s1, s2 = drug.n_params, control.n_params
-    out = np.zeros((s1 + s2, s1 + s2))
-    dose, arm = point
-    if arm == ARM_DRUG:
-        out[:s1, :s1] = drug.fisher(dose)
-    elif arm == ARM_CONTROL:
-        out[s1:, s1:] = control.fisher()
-    else:
-        raise UnsupportedCaseError(f"unknown arm {arm}")
-    return out
 
 
 def _matrix_power_sym(B: np.ndarray, power: float) -> np.ndarray:
@@ -48,7 +32,13 @@ def _matrix_power_sym(B: np.ndarray, power: float) -> np.ndarray:
 
 
 class _SensitivityEngine:
-    """Caches the design-level factors of the equivalence inequality."""
+    """Caches the design-level factors of the equivalence inequality.
+
+    At a drug dose the sensitivity is trace(I(d) W) for the joint
+    per-observation information I(d), which reduces to f(d)^T W11 f(d) plus,
+    for normal responses, the variance term W[m, m] / (2 sigma^4); at the
+    control point it is the constant trace(I2 W22).
+    """
 
     def __init__(
         self,
@@ -77,6 +67,13 @@ class _SensitivityEngine:
             GK = self.G @ self.K
             self.W = GK @ inner @ GK.T
             self.threshold = float(np.trace(_matrix_power_sym(self.B, -p)))
+        s1, m = drug.n_params, drug.n_mean_params
+        self._W11 = self.W[:m, :m]
+        self._variance_term = (
+            self.W[m, m] / (2.0 * drug.family.sigma2**2)
+            if isinstance(drug.family, Normal) else 0.0
+        )
+        self._control_term = float(np.trace(control.fisher() @ self.W[s1:, s1:]))
 
     def _setup_e_optimal(self):
         # E = u u^T for the eigenvector of the minimal eigenvalue of
@@ -94,11 +91,24 @@ class _SensitivityEngine:
         self.threshold = 1.0 / float(lam[-1])
 
     def raw(self, point: tuple[float, int]) -> float:
-        I = point_information(point, self.drug, self.control)
-        return float(np.trace(I @ self.W)) - self.threshold
+        dose, arm = point
+        if arm == ARM_DRUG:
+            f = self.drug.regression_vector(dose)
+            value = float(f @ self._W11 @ f) + self._variance_term
+        elif arm == ARM_CONTROL:
+            value = self._control_term
+        else:
+            raise UnsupportedCaseError(f"unknown arm {arm}")
+        return value - self.threshold
 
     def normalized(self, point: tuple[float, int]) -> float:
         return self.raw(point) / abs(self.threshold)
+
+    def normalized_drug(self, doses: np.ndarray) -> np.ndarray:
+        """normalized((d, ARM_DRUG)) at every dose, in one pass."""
+        F = self.drug.regression_rows(doses)
+        raw = np.einsum("ij,jk,ik->i", F, self._W11, F) + self._variance_term
+        return (raw - self.threshold) / abs(self.threshold)
 
 
 def sensitivity(
@@ -131,7 +141,6 @@ class SensitivityReport:
     tol: float
     normalization: float
     ginv_strategy: str = "pseudoinverse"
-    extra: dict = field(default_factory=dict)
 
     def to_csv(self, path) -> None:
         """(dose, sensitivity) rows for the drug arm, for external plotting."""
@@ -170,17 +179,17 @@ def verify(
     K, p = _resolve_spec(spec, drug, control)
     engine = _SensitivityEngine(design, drug, control, K, p)
     strategy = "pseudoinverse"
-    report = _evaluate(engine, design, drug, control, grid_size, tol)
+    report = _evaluate(engine, grid_size, tol)
     if report.max_violation > tol and engine.M.rank < engine.M.dim and K.t == 1:
         # cutting-plane search over the generalized inverses: the grid
         # minimax witness can leak between grid points near a tangency, so
         # each refined violation point is added and the witness re-solved
         extra: list[float] = []
         for _ in range(6):
-            adjusted = _null_adjusted_engine(engine, design, drug, control, grid_size, extra)
+            adjusted = _null_adjusted_engine(engine, grid_size, extra)
             if adjusted is None:
                 break
-            candidate = _evaluate(adjusted, design, drug, control, grid_size, tol)
+            candidate = _evaluate(adjusted, grid_size, tol)
             if candidate.max_violation < report.max_violation:
                 report = candidate
                 strategy = "null-adjusted"
@@ -200,19 +209,13 @@ def verify(
     return report
 
 
-def _evaluate(
-    engine: _SensitivityEngine,
-    design: Design,
-    drug: DrugModel,
-    control: ControlModel,
-    grid_size: int,
-    tol: float,
-) -> SensitivityReport:
-    L, R = drug.dose_range
+def _evaluate(engine: _SensitivityEngine, grid_size: int, tol: float) -> SensitivityReport:
+    design = engine.design
+    L, R = engine.drug.dose_range
     doses = np.unique(
         np.concatenate([np.linspace(L, R, grid_size), [L, R], design.drug_doses])
     )
-    values = np.array([engine.normalized((d, ARM_DRUG)) for d in doses])
+    values = engine.normalized_drug(doses)
     # the joint design space always contains the control point
     control_value = engine.normalized((0.0, ARM_CONTROL))
     # refine around the grid maximum to catch an off-grid peak
@@ -242,12 +245,7 @@ def _evaluate(
 
 
 def _null_adjusted_engine(
-    engine: _SensitivityEngine,
-    design: Design,
-    drug: DrugModel,
-    control: ControlModel,
-    grid_size: int,
-    extra_doses: Optional[list] = None,
+    engine: _SensitivityEngine, grid_size: int, extra_doses: Optional[list] = None
 ) -> Optional[_SensitivityEngine]:
     """Search the generalized inverses of a singular M for a witness.
 
@@ -265,20 +263,16 @@ def _null_adjusted_engine(
         return None
     c = engine.K[:, 0]
     z0 = pseudo_inverse(engine.M) @ c
+    drug = engine.drug
     L, R = drug.dose_range
-    parts = [np.linspace(L, R, grid_size), design.drug_doses]
+    parts = [np.linspace(L, R, grid_size), engine.design.drug_doses]
     if extra_doses:
         parts.append(np.asarray(extra_doses, float))
     doses = np.unique(np.concatenate(parts))
-    rows_b = []
-    rows_A = []
-    for d in doses:
-        f = np.zeros(M.shape[0])
-        f[: drug.n_mean_params] = drug.regression_vector(d)
-        rows_b.append(float(f @ z0))
-        rows_A.append(f @ null_basis)
-    b = np.array(rows_b)
-    A = np.array(rows_A)
+    m = drug.n_mean_params
+    F = drug.regression_rows(doses)
+    b = F @ z0[:m]
+    A = F @ null_basis[:m]
     k = null_basis.shape[1]
     # minimize tau subject to -tau <= b + A alpha <= tau
     cost = np.concatenate([np.zeros(k), [1.0]])
@@ -292,4 +286,4 @@ def _null_adjusted_engine(
     # G' = M^+ + (z - M^+ c) c^T / (c^T c) is still a generalized inverse
     correction = np.outer(z - z0, c) / float(c @ c)
     G = pseudo_inverse(engine.M) + correction
-    return _SensitivityEngine(design, drug, control, KMatrix(engine.K), engine.p, ginv=G)
+    return _SensitivityEngine(engine.design, drug, engine.control, KMatrix(engine.K), engine.p, ginv=G)

@@ -82,7 +82,8 @@ class Emax:
 
     def gradient(self, d: float) -> np.ndarray:
         s = self.ed50 + d
-        return np.array([1.0, d / s, -self.emax * d / s**2])
+        # 1.0 + 0.0 * d takes the shape of d, so an array of doses works too
+        return np.array([1.0 + 0.0 * d, d / s, -self.emax * d / s**2])
 
     def derivative(self, d: float) -> float:
         return self.emax * self.ed50 / (self.ed50 + d) ** 2
@@ -236,7 +237,8 @@ class DrugModel:
         if isinstance(fam, NegativeBinomial):
             p = self.mean.value(d)
             if p == 0.0:
-                return self._negbin_origin_limit(fam.r)
+                v = self._negbin_origin_direction()
+                return fam.r * np.outer(v, v)
             if p >= 1.0:
                 raise SingularInformationError(f"success probability {p} at dose {d}")
             return fam.r * np.outer(g, g) / (p**2 * (1.0 - p))
@@ -256,15 +258,14 @@ class DrugModel:
             return np.outer(g, g) / lam
         raise UnsupportedCaseError(f"unknown family {fam!r}")
 
-    def _negbin_origin_limit(self, r: int) -> np.ndarray:
-        # limit of grad grad^T / (p^2 (1-p)) as d -> 0 for the MM curve:
+    def _negbin_origin_direction(self) -> np.ndarray:
+        # limit of grad / p as d -> 0 for the MM curve:
         # grad ~ (d/ed50) * (1, -emax/ed50), p ~ emax*d/ed50.
         if not isinstance(self.mean, MichaelisMenten):
             raise SingularInformationError(
                 "negative binomial needs a positive success probability"
             )
-        v = np.array([1.0 / self.mean.emax, -1.0 / self.mean.ed50])
-        return r * np.outer(v, v)
+        return np.array([1.0 / self.mean.emax, -1.0 / self.mean.ed50])
 
     def regression_vector(self, d: float) -> np.ndarray:
         """Vector f with f f^T equal to the mean-parameter block of fisher(d)."""
@@ -276,8 +277,7 @@ class DrugModel:
         if isinstance(fam, NegativeBinomial):
             p = self.mean.value(d)
             if p == 0.0:
-                v = np.array([1.0 / self.mean.emax, -1.0 / self.mean.ed50])
-                return np.sqrt(fam.r) * v
+                return np.sqrt(fam.r) * self._negbin_origin_direction()
             return np.sqrt(fam.r / (p**2 * (1.0 - p))) * g
         if isinstance(fam, Binomial):
             p = self.mean.value(d)
@@ -288,6 +288,32 @@ class DrugModel:
         if lam == 0.0:
             return np.zeros(self.n_mean_params)
         return g / np.sqrt(lam)
+
+    def regression_rows(self, doses) -> np.ndarray:
+        """regression_vector at each dose of an array, stacked to shape (n, m)."""
+        d = np.asarray(doses, float)
+        L, R = self.dose_range
+        outside = ~((L - 1e-12 <= d) & (d <= R + 1e-12))
+        if outside.any():
+            raise DoseRangeError(f"dose {d[outside][0]} outside range [{L}, {R}]")
+        fam = self.family
+        G = self.mean.gradient(d).T
+        if isinstance(fam, Normal):
+            return G / np.sqrt(fam.sigma2)
+        eta = self.mean.value(d)
+        zero = eta == 0.0
+        safe = np.where(zero, 0.5, eta)  # rows at eta = 0 are set below
+        if isinstance(fam, NegativeBinomial):
+            rows = np.sqrt(fam.r / (safe**2 * (1.0 - safe)))[:, None] * G
+            if zero.any():
+                rows[zero] = np.sqrt(fam.r) * self._negbin_origin_direction()
+            return rows
+        if isinstance(fam, Binomial):
+            rows = G / np.sqrt(safe * (1.0 - safe))[:, None]
+        else:
+            rows = G / np.sqrt(safe)[:, None]
+        rows[zero] = 0.0
+        return rows
 
 
 # ---------------------------------------------------------------------------

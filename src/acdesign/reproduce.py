@@ -16,9 +16,12 @@ The README's benchmark section carries the analysis.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
+
+import numpy as np
 
 from .criteria import ac_efficiency, d_efficiency
 from .designs import ARM_CONTROL, ARM_DRUG, Design
@@ -100,25 +103,35 @@ def _design_cells(table: str, row: str, design: Design, spec: list[tuple[str, fl
                   note_map: dict[str, str] | None = None) -> list[Cell]:
     """Compare a design against (label, published, tolerance) triples.
 
-    Labels 'dose<i>', 'weight<i>' index the drug support in dose order;
-    'control' is the control weight.
+    'dose<i>' is the i-th published drug dose, paired with the nearest
+    computed drug dose; 'weight<i>' is the weight of that computed dose and
+    'control' the control weight.  A computed dose paired with no published
+    one gets rows of its own, numbered after the published ones, with a
+    published value of nan.
     """
-    cells = []
     doses = design.drug_doses
     weights = design.drug_weights
     notes = note_map or {}
+    nearest = {
+        int(label[4:]): int(np.argmin(np.abs(doses - published)))
+        for label, published, _ in spec if label.startswith("dose")
+    }
+    cells = []
     for label, published, tol in spec:
         if label.startswith("dose"):
-            i = int(label[4:])
-            computed = float(doses[i]) if i < doses.size else float("nan")
+            computed = float(doses[nearest[int(label[4:])]])
         elif label.startswith("weight"):
-            i = int(label[6:])
-            computed = float(weights[i]) if i < weights.size else float("nan")
+            computed = float(weights[nearest[int(label[6:])]])
         elif label == "control":
             computed = design.control_weight
         else:
             raise ValueError(label)
         cells.append(Cell(table, f"{row}/{label}", computed, published, tol, notes.get(label, "")))
+    unpaired = sorted(set(range(doses.size)) - set(nearest.values()))
+    for i, j in enumerate(unpaired, start=max(nearest, default=-1) + 1):
+        note = "computed support point with no published dose near it"
+        cells.append(Cell(table, f"{row}/dose{i}", float(doses[j]), math.nan, math.nan, note))
+        cells.append(Cell(table, f"{row}/weight{i}", float(weights[j]), math.nan, math.nan, note))
     return cells
 
 
@@ -226,7 +239,7 @@ def build_cells() -> list[Cell]:
 
     note_bi = "published design cannot estimate the target dose; see README"
     acb = ac_optimal(bi_drug, bi_ctrl)
-    # the psi minimizer is a one-point design; compare what exists
+    # the psi minimizer is a one-point design; both published doses pair with it
     spec_bi = [("dose0", 0.0, 0.05), ("dose1", 200.0, 0.05),
                ("weight0", 0.0734, 0.005), ("weight1", 0.4195, 0.005),
                ("control", 0.5071, 0.005)]

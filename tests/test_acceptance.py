@@ -49,6 +49,7 @@ from acdesign import (
     verify,
 )
 from acdesign.reproduce import (
+    build_cells,
     gouty_models,
     gouty_standard_design,
     migraine_models,
@@ -367,6 +368,26 @@ def test_criterion3_migraine_binomial_ac_as_published():
     published = Design(((0.0, ARM_DRUG), (200.0, ARM_DRUG), (0.0, ARM_CONTROL)),
                        (0.0734, 0.4195, 0.5071))
     _check_ac_against_oracle("migraine binomial", drug, ctrl, published)
+
+
+def test_reproduce_ac_table_shows_every_computed_support_point():
+    # published doses pair with the nearest computed dose; the certified
+    # gouty negative-binomial optimum (0, 21.08, 300) has a point the
+    # published design lacks, which gets a row with a published nan
+    drug, ctrl = gouty_models("negative_binomial")
+    optimum = ac_optimal(drug, ctrl)
+    cells = {c.label: c for c in build_cells() if c.table == "ac-table"}
+    rows = {}
+    for i in range(4):
+        if f"gouty-negbin/dose{i}" in cells:
+            dose, weight = cells[f"gouty-negbin/dose{i}"], cells[f"gouty-negbin/weight{i}"]
+            rows[round(dose.computed, 2)] = (weight.computed, dose.published)
+    expected = {round(d, 2): w for d, w in zip(optimum.drug_doses, optimum.drug_weights)}
+    assert sorted(rows) == [0.0, 21.08, 300.0] == sorted(expected)
+    for dose, (weight, _) in rows.items():
+        assert weight == pytest.approx(expected[dose], abs=1e-12)
+    assert rows[300.0][1] == 300.0 and math.isnan(rows[21.08][1])
+    assert not any(math.isnan(c.computed) for c in cells.values())
 
 
 def test_criterion3_ac_efficiencies_normal_rows():

@@ -1,8 +1,12 @@
 import json
 
+import numpy as np
 import pytest
 
-from acdesign.cli import main
+import acdesign.cli
+import acdesign.solvers
+from acdesign import KMatrix, phi_p
+from acdesign.cli import main, parse_scenario, read_design_csv
 
 GOUTY_NB = """
 # gouty arthritis, negative binomial reading
@@ -174,3 +178,73 @@ def test_non_numeric_value_rejected(tmp_path, capsys, key):
     scn = write(tmp_path, "bad.scn", "\n".join(lines + [f"{key} = abc", ""]))
     assert main(["solve", scn]) == 2
     assert capsys.readouterr().err.startswith("error:")
+
+
+MIGRAINE_BINOMIAL_PHI = """
+drug.family = binomial
+drug.mean = emax
+drug.e0 = 0.098
+drug.emax = 0.2052
+drug.ed50 = 12.3
+dose.min = 0
+dose.max = 200
+control.mu = 0.2505
+criterion.kind = phi_p
+criterion.p = -1
+solver.grid_size = 129
+solver.max_iterations = 150
+solver.multistart = 1
+"""
+
+
+def test_phi_p_efficiency_uses_the_stated_criterion(tmp_path, capsys):
+    scn = write(tmp_path, "phi.scn", MIGRAINE_BINOMIAL_PHI)
+    d_scn = write(tmp_path, "d.scn", MIGRAINE_BINOMIAL_PHI.replace(
+        "criterion.kind = phi_p\ncriterion.p = -1", "criterion.kind = d"))
+    d_out, phi_out = tmp_path / "d", tmp_path / "phi"
+    assert main(["solve", d_scn, "--out", str(d_out)]) == 0
+    assert main(["solve", scn, "--out", str(phi_out)]) == 0
+    capsys.readouterr()
+
+    # the closed-form D optimum as the candidate: a phi_{-1} ratio below 1
+    assert main(["efficiency", scn, str(d_out / "design.csv"), "--json"]) == 0
+    value = json.loads(capsys.readouterr().out)["phi_p_efficiency"]
+    s = parse_scenario(scn)
+    K = KMatrix.block_identity(s.drug.n_params, s.control.n_params)
+    candidate = read_design_csv(d_out / "design.csv")
+    optimum = read_design_csv(phi_out / "design.csv")
+    ratio = phi_p(candidate, s.drug, s.control, K, -1.0) / phi_p(optimum, s.drug, s.control, K, -1.0)
+    assert ratio < 1.0
+    assert value == pytest.approx(acdesign.cli.sig6(ratio), abs=1e-9)  # printed to 6 digits
+
+    assert main(["efficiency", scn, str(phi_out / "design.csv"), "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["phi_p_efficiency"] == pytest.approx(1.0, abs=1e-8)
+
+
+@pytest.mark.parametrize("text,extra_args,verify_calls", [
+    (REMARK1, [], 1),  # the solver's own certificate is reused
+    (REMARK1, ["--tol", "1e-6"], 2),  # another tolerance needs its own check
+    (GOUTY_NB, [], 1),  # a closed form is checked by the command itself
+], ids=["numeric", "numeric-other-tol", "closed-form"])
+def test_solve_verifies_each_design_once(tmp_path, monkeypatch, text, extra_args, verify_calls):
+    calls = []
+    verify = acdesign.cli.verify
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs.get("tol"))
+        return verify(*args, **kwargs)
+
+    monkeypatch.setattr(acdesign.cli, "verify", counted)
+    monkeypatch.setattr(acdesign.solvers, "verify", counted)
+    scn = write(tmp_path, "s.scn", text)
+    out = tmp_path / "out"
+    assert main(["solve", scn, "--out", str(out)] + extra_args) == 0
+    assert len(calls) == verify_calls
+    # the report carries the certificate of a fresh check at the stated tolerance
+    s = parse_scenario(scn)
+    tol = float(extra_args[1]) if extra_args else 1e-5
+    fresh = verify(read_design_csv(out / "design.csv"), s.drug, s.control, s.criterion, tol=tol)
+    reported = json.loads((out / "report.json").read_text())["verification"]
+    assert reported == {"verdict": fresh.verdict,
+                        "max_violation": acdesign.cli.sig6(fresh.max_violation),
+                        "ginv": fresh.ginv_strategy}

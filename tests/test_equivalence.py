@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from acdesign import equivalence
 from acdesign import (
     ARM_CONTROL,
     ARM_DRUG,
@@ -16,6 +17,7 @@ from acdesign import (
     Normal,
     Poisson,
     UnsupportedCaseError,
+    ac_optimal,
     sensitivity,
     solve_d_optimal,
     verify,
@@ -154,3 +156,78 @@ def test_report_csv_round_trip(tmp_path):
     dose0, val0 = rows[1].split(",")
     assert float(dose0) == pytest.approx(rep.grid_doses[0])
     assert float(val0) == pytest.approx(rep.grid_values[0], rel=1e-6)
+
+
+def _verify_with_engine(monkeypatch, design, drug, ctrl, spec):
+    """verify, plus the sensitivity engine behind the evaluation it reports."""
+    seen = []
+    evaluate = equivalence._evaluate
+
+    def spy(engine, *args):
+        report = evaluate(engine, *args)
+        seen.append((engine, report))
+        return report
+
+    monkeypatch.setattr(equivalence, "_evaluate", spy)
+    rep = verify(design, drug, ctrl, spec)
+    (engine,) = [e for e, r in seen if r is rep]
+    return rep, engine
+
+
+def _gouty_normal_d():
+    drug = DrugModel(Normal(0.0025), Emax(0.26, 0.73, 10.5), (0.0, 300.0))
+    ctrl = ControlModel(Normal(0.0025), 0.9206)
+    return solve_d_optimal(drug, ctrl), drug, ctrl, D_SPEC, "pseudoinverse"
+
+
+def _migraine_binomial_d():
+    drug = DrugModel(Binomial(), Emax(0.098, 0.2052, 12.3), (0.0, 200.0))
+    ctrl = ControlModel(Binomial(), 0.2505)
+    return solve_d_optimal(drug, ctrl), drug, ctrl, D_SPEC, "pseudoinverse"
+
+
+def _poisson_mm_one_point_ac():
+    drug, ctrl = _poisson_mm()
+    return ac_optimal(drug, ctrl), drug, ctrl, CriterionSpec("ac"), "null-adjusted"
+
+
+def _poisson_mm_e():
+    drug, ctrl = _poisson_mm()
+    return solve_d_optimal(drug, ctrl), drug, ctrl, CriterionSpec("phi_p", -np.inf), "pseudoinverse"
+
+
+@pytest.mark.parametrize("case", [_gouty_normal_d, _migraine_binomial_d,
+                                  _poisson_mm_one_point_ac, _poisson_mm_e])
+def test_grid_values_match_joint_information_trace(monkeypatch, case):
+    design, drug, ctrl, spec, strategy = case()
+    rep, engine = _verify_with_engine(monkeypatch, design, drug, ctrl, spec)
+    assert rep.ginv_strategy == strategy
+    W, thr = engine.W, engine.threshold
+    s1 = drug.n_params
+
+    def joint_trace(block, fisher):
+        info = np.zeros_like(W)
+        info[block, block] = fisher
+        return np.trace(info @ W)
+
+    expected = [joint_trace(slice(0, s1), drug.fisher(d)) for d in rep.grid_doses]
+    np.testing.assert_allclose(rep.grid_values * abs(thr) + thr, expected,
+                               rtol=1e-12, atol=1e-12 * abs(thr))
+    control = joint_trace(slice(s1, None), ctrl.fisher())
+    assert rep.control_value * abs(thr) + thr == pytest.approx(control, rel=1e-12, abs=1e-12 * abs(thr))
+
+
+@pytest.mark.parametrize("case", [_gouty_normal_d, _poisson_mm_one_point_ac])
+def test_verify_builds_no_fisher_matrix_per_grid_dose(monkeypatch, case):
+    design, drug, ctrl, spec, _ = case()
+    fisher = DrugModel.fisher
+    calls = []
+
+    def counted(self, d):
+        calls.append(d)
+        return fisher(self, d)
+
+    monkeypatch.setattr(DrugModel, "fisher", counted)
+    rep = verify(design, drug, ctrl, spec, grid_size=512)
+    assert rep.grid_doses.size >= 512
+    assert len(calls) < 50

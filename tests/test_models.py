@@ -13,6 +13,7 @@ from acdesign import (
     NoTargetDoseError,
     Normal,
     Poisson,
+    SingularInformationError,
     drug_response,
     target_dose,
     target_dose_grad,
@@ -152,6 +153,43 @@ def test_fisher_psd_and_negbin_binomial_relation():
     for d in (0.5, 2.0, 10.0):
         p = nb.mean_value(d)
         assert nb.fisher(d) == pytest.approx(r / p * bi.fisher(d), rel=1e-12)
+
+
+_FAMILY_CURVES = [
+    (Normal(0.04), MichaelisMenten(0.8, 5.0)),
+    (Normal(0.04), Emax(0.2, 0.8, 5.0)),
+    (NegativeBinomial(7), MichaelisMenten(0.6, 5.0)),
+    (NegativeBinomial(7), Emax(0.1, 0.6, 5.0)),
+    (Binomial(), MichaelisMenten(0.6, 5.0)),
+    (Binomial(), Emax(0.05, 0.6, 5.0)),
+    (Binomial(), Emax(0.0, 0.6, 5.0)),  # zero success probability at dose 0
+    (Poisson(), MichaelisMenten(2.0, 5.0)),
+    (Poisson(), Emax(0.3, 2.0, 5.0)),
+]
+
+
+@pytest.mark.parametrize("L", [0.0, 2.5])
+@pytest.mark.parametrize("family,mean", _FAMILY_CURVES,
+                         ids=[f"{type(f).__name__}-{type(m).__name__}" for f, m in _FAMILY_CURVES])
+def test_regression_rows_match_stacked_vectors(family, mean, L):
+    # with L = 0 the first dose hits the origin limits: the negative binomial
+    # Michaelis-Menten row and the zero binomial and Poisson rows
+    drug = DrugModel(family, mean, (L, 50.0))
+    doses = np.array([L, 50.0, L + 1e-7, 4.9, 17.3, 49.99])
+    rows = drug.regression_rows(doses)
+    stacked = np.array([drug.regression_vector(d) for d in doses])
+    assert rows.shape == (doses.size, drug.n_mean_params)
+    np.testing.assert_allclose(rows, stacked, rtol=1e-14, atol=0.0)
+    for outside in (L - 1e-6, 50.0 + 1e-6):
+        with pytest.raises(DoseRangeError):
+            drug.regression_rows(np.array([L, outside]))
+
+
+def test_negbin_emax_without_success_at_origin_is_singular():
+    drug = DrugModel(NegativeBinomial(7), Emax(0.0, 0.6, 5.0), (0.0, 50.0))
+    for call in (drug.fisher, drug.regression_vector, lambda d: drug.regression_rows([1.0, d])):
+        with pytest.raises(SingularInformationError):
+            call(0.0)
 
 
 def test_fisher_control_examples():
