@@ -29,7 +29,7 @@ from .criteria import (
     psi_ac,
 )
 from .designs import ARM_CONTROL, Design
-from .equivalence import SensitivityReport, verify
+from .equivalence import verify
 from .exceptions import AcdesignError, ScenarioError
 from .models import (
     Binomial,
@@ -43,6 +43,7 @@ from .models import (
 )
 from .solvers import (
     SolveOptions,
+    SolveResult,
     ac_optimal,
     numeric_solve,
     solve_d_optimal,
@@ -293,15 +294,15 @@ def _closed_form_method(scn: Scenario) -> Optional[str]:
     return None
 
 
-def _solve_scenario(scn: Scenario) -> tuple[Design, str, bool, float, Optional[SensitivityReport]]:
-    """Design, method, convergence, residual and the solver's own certificate."""
+def _solve_scenario(scn: Scenario) -> tuple[Design, str, Optional[SolveResult]]:
+    """Design, method and, for a numeric solve, the solver's result."""
     method = _closed_form_method(scn)
     if method == "closed-form/ac" or method == "numeric/ac-elfving":
-        return ac_optimal(scn.drug, scn.control), method, True, 0.0, None
+        return ac_optimal(scn.drug, scn.control), method, None
     if method is not None:
-        return solve_d_optimal(scn.drug, scn.control), method, True, 0.0, None
+        return solve_d_optimal(scn.drug, scn.control), method, None
     result = numeric_solve(scn.drug, scn.control, scn.criterion, scn.options)
-    return result.design, result.method, result.converged, result.max_violation, result.report
+    return result.design, result.method, result
 
 
 def cmd_solve(args) -> int:
@@ -314,7 +315,11 @@ def cmd_solve(args) -> int:
             multistart_count=scn.options.multistart_count,
             seed=args.seed if args.seed is not None else scn.options.seed,
         )
-    design, method, converged, residual, report = _solve_scenario(scn)
+    design, method, result = _solve_scenario(scn)
+    converged = result.converged if result is not None else True
+    report = result.report if result is not None else None
+    # only the exchange loop has a stop reason and counts its iterations
+    stop_reason = result.stop_reason if result is not None else None
     if report is None or report.tol != args.tol:
         report = verify(design, scn.drug, scn.control, scn.criterion, tol=args.tol)
     out_dir = Path(args.out)
@@ -333,7 +338,9 @@ def cmd_solve(args) -> int:
             "ginv": report.ginv_strategy,
         },
         "converged": converged,
-        "solver_residual": sig6(residual),
+        "solver_residual": sig6(result.max_violation if result is not None else 0.0),
+        "stop_reason": stop_reason,
+        "iterations": result.iterations if stop_reason is not None else None,
     }
     (out_dir / "report.json").write_text(json.dumps(payload, indent=2) + "\n")
     if args.json:

@@ -187,11 +187,17 @@ class DrugModel:
         elif isinstance(fam, Poisson):
             if vals.min() < 0.0:
                 raise ModelError("Poisson rate negative on the dose range")
-            # rate zero is only integrable for the Michaelis-Menten origin
-            if self.mean.value(L) == 0.0 and not isinstance(self.mean, MichaelisMenten):
-                raise ModelError(
-                    "Poisson with an Emax curve needs a positive rate at L (e0 > 0)"
-                )
+        # a binomial probability or Poisson rate of zero at L is only
+        # integrable for the Michaelis-Menten origin; for an Emax curve the
+        # information there is unbounded while the row at L is zero
+        if (
+            isinstance(fam, (Binomial, Poisson))
+            and self.mean.value(L) == 0.0
+            and not isinstance(self.mean, MichaelisMenten)
+        ):
+            raise ModelError(
+                f"{type(fam).__name__} with an Emax curve needs a positive mean at L (e0 > 0)"
+            )
 
     # -- dimensions ---------------------------------------------------------
 

@@ -11,6 +11,7 @@ w_control = 1/(1+rho_p).
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -57,6 +58,8 @@ from .models import (
 )
 from .scalar_opt import bracketed_root, golden_max
 
+_log = logging.getLogger("acdesign")
+
 MERGE_FRACTION = 1e-6  # support doses closer than this fraction of R-L merge
 LP_GRID_SIZE = 401  # doses in the Elfving LP of c_opt_numeric
 
@@ -100,6 +103,7 @@ class SolveResult:
     iterations: int
     method: str
     report: Optional[SensitivityReport] = None
+    stop_reason: Optional[str] = None  # "certified", "stalled", "capped"; None on the LP route
 
 
 # ---------------------------------------------------------------------------
@@ -796,6 +800,14 @@ def numeric_solve(
     of the dose with the largest sensitivity violation.  Starts differ in
     their initial five-point support; the best criterion value wins and the
     winning design is certified with the equivalence theorem.
+
+    A start stops for one of three reasons, reported as ``stop_reason`` of
+    the winning start: ``"certified"`` when its equivalence violation falls
+    to 1e-9, ``"stalled"`` when an iteration leaves its state (support,
+    weights, refinement tolerance) exactly unchanged, so that every later
+    iteration would repeat it, and ``"capped"`` after ``max_iterations``
+    iterations, which is also logged as a warning on the ``acdesign``
+    logger.
     """
     if spec.kind == "ac":
         K, p = ac_contrast(drug, control), -1.0
@@ -817,12 +829,14 @@ def numeric_solve(
         outcome = _solve_single_start(problem, support, opts, include_control)
         if outcome is None:
             continue
-        value, doses, wd, wc, iters = outcome
+        value, doses, wd, wc, iters, stop_reason = outcome
+        if stop_reason == "capped":
+            _log.warning("numeric_solve: start %d ran to the %d-iteration cap", idx, iters)
         if best is None or value > best[0] + 1e-15:
-            best = (value, idx, doses, wd, wc, iters)
+            best = (value, idx, doses, wd, wc, iters, stop_reason)
     if best is None:
         raise EstimabilityError("no start produced an estimable design")
-    value, _, doses, wd, wc, iters = best
+    value, _, doses, wd, wc, iters, stop_reason = best
     L, R = drug.dose_range
     pts = [(float(d), ARM_DRUG) for d in doses]
     wts = [float(w) for w in wd]
@@ -840,6 +854,7 @@ def numeric_solve(
         iterations=iters,
         method="numeric/vertex-exchange",
         report=report,
+        stop_reason=stop_reason,
     )
 
 
@@ -905,7 +920,14 @@ def _solve_single_start(
     value = -np.inf
     iters_done = 0
     refine_tol = 1e-7 * (R - L)
+    stop_reason, state = "capped", None
     for it in range(opts.max_iterations):
+        # an iteration is a function of this state alone, so once it comes
+        # back unchanged every later iteration repeats it bit for bit
+        previous, state = state, (tuple(doses), wd.tobytes(), wc, refine_tol)
+        if state == previous:
+            stop_reason = "stalled"
+            break
         iters_done = it + 1
         # ---- weights to their fixed point on the current support ----
         sweep = _weight_sweeps(problem, doses, wd, wc, F)
@@ -945,6 +967,7 @@ def _solve_single_start(
         v_top, d_top = max(candidates, key=lambda tup: tup[0])
         violation = (v_top - threshold) / abs(threshold)
         if violation <= stop_tol:
+            stop_reason = "certified"
             break
         if violation <= 1e-3:
             refine_tol = 1e-11 * (R - L)
@@ -976,7 +999,7 @@ def _solve_single_start(
     order = np.argsort(doses)
     doses = [doses[i] for i in order]
     wd = np.asarray(wd)[order]
-    return value, doses, wd, wc, iters_done
+    return value, doses, wd, wc, iters_done, stop_reason
 
 
 def _consolidate_support(problem, doses, wd, wc, value):

@@ -54,6 +54,7 @@ def test_solve_verify_efficiency_round_trip(tmp_path):
     report = json.loads((out / "report.json").read_text())
     assert report["method"] == "closed-form/emax-d"
     assert report["verification"]["verdict"] == "optimal"
+    assert report["stop_reason"] is None and report["iterations"] is None
     doses = [row["dose"] for row in report["design"] if row["arm"] == 0]
     assert doses == pytest.approx([0.0, 8.17831, 300.0], abs=1e-4)
 
@@ -76,6 +77,9 @@ def test_solve_numeric_scenario(tmp_path, capsys):
     doses = sorted(row["dose"] for row in report["design"] if row["arm"] == 0)
     assert doses[0] == pytest.approx(0.93, abs=0.02)
     assert doses[1] == pytest.approx(50.0, abs=0.02)
+    assert report["stop_reason"] in {"certified", "stalled"}
+    assert isinstance(report["iterations"], int) and report["iterations"] > 0
+    assert json.loads(capsys.readouterr().out) == report
 
 
 def test_unknown_key_rejected(tmp_path):

@@ -162,7 +162,6 @@ _FAMILY_CURVES = [
     (NegativeBinomial(7), Emax(0.1, 0.6, 5.0)),
     (Binomial(), MichaelisMenten(0.6, 5.0)),
     (Binomial(), Emax(0.05, 0.6, 5.0)),
-    (Binomial(), Emax(0.0, 0.6, 5.0)),  # zero success probability at dose 0
     (Poisson(), MichaelisMenten(2.0, 5.0)),
     (Poisson(), Emax(0.3, 2.0, 5.0)),
 ]
@@ -173,7 +172,7 @@ _FAMILY_CURVES = [
                          ids=[f"{type(f).__name__}-{type(m).__name__}" for f, m in _FAMILY_CURVES])
 def test_regression_rows_match_stacked_vectors(family, mean, L):
     # with L = 0 the first dose hits the origin limits: the negative binomial
-    # Michaelis-Menten row and the zero binomial and Poisson rows
+    # Michaelis-Menten row and the zero binomial and Poisson Michaelis-Menten rows
     drug = DrugModel(family, mean, (L, 50.0))
     doses = np.array([L, 50.0, L + 1e-7, 4.9, 17.3, 49.99])
     rows = drug.regression_rows(doses)
@@ -217,6 +216,14 @@ def test_poisson_emax_needs_positive_rate_at_origin():
         DrugModel(Poisson(), Emax(0.0, 0.5, 2.0), (0.0, 50.0))
     # fine when the range starts away from zero
     DrugModel(Poisson(), Emax(0.0, 0.5, 2.0), (1.0, 50.0))
+
+
+def test_binomial_emax_needs_positive_probability_at_origin():
+    # the information grows without bound towards dose 0 while the row at 0 is zero
+    with pytest.raises(ModelError):
+        DrugModel(Binomial(), Emax(0.0, 0.6, 5.0), (0.0, 50.0))
+    DrugModel(Binomial(), Emax(0.0, 0.6, 5.0), (1.0, 50.0))
+    DrugModel(Binomial(), MichaelisMenten(0.6, 5.0), (0.0, 50.0))
 
 
 def test_bad_parameters_rejected():

@@ -1,3 +1,4 @@
+import logging
 import math
 
 import numpy as np
@@ -431,15 +432,56 @@ def test_numeric_solve_matches_closed_form_spot():
     )
 
 
-def test_numeric_solve_non_convergence_reported():
+def test_numeric_solve_non_convergence_reported(caplog):
     drug = DrugModel(Normal(0.0025), GOUTY, (0.0, 300.0))
     ctrl = ControlModel(Normal(0.0025), 0.9206)
-    res = numeric_solve(drug, ctrl, CriterionSpec("phi_p", 0.0),
-                        SolveOptions(max_iterations=1, multistart_count=1, grid_size=33))
+    with caplog.at_level(logging.WARNING, logger="acdesign"):
+        res = numeric_solve(drug, ctrl, CriterionSpec("phi_p", 0.0),
+                            SolveOptions(max_iterations=1, multistart_count=1, grid_size=33))
     assert res.design is not None
     assert res.max_violation > 0
     if not res.converged:
         assert res.max_violation > 1e-5
+    assert res.stop_reason == "capped"
+    assert [r.levelname for r in caplog.records] == ["WARNING"]
+    assert "1-iteration cap" in caplog.records[0].getMessage()
+
+
+# a coarse grid, 150 iterations and one start keep these solves short
+_STALL_OPTS = dict(grid_size=129, max_iterations=150, multistart_count=1)
+
+
+def test_numeric_solve_stops_at_exact_fixed_point():
+    # phi_{-1} on gouty normal: the exchange state stops changing while the
+    # violation sits near 1e-8, above the 1e-9 stopping tolerance
+    drug = DrugModel(Normal(0.0025), GOUTY, (0.0, 300.0))
+    ctrl = ControlModel(Normal(0.0025), 0.9206)
+    K = KMatrix.block_identity(drug.n_params, ctrl.n_params)
+    spec = CriterionSpec("phi_p", -1.0)
+    res = numeric_solve(drug, ctrl, spec, SolveOptions(**_STALL_OPTS))
+    assert res.stop_reason == "stalled"
+    assert res.iterations <= 20
+    assert res.report.verdict == "optimal"
+    composed = compose_active_control(res.design.induced(), drug, ctrl, K, -1.0)
+    assert phi_p(res.design, drug, ctrl, K, -1.0) >= phi_p(composed, drug, ctrl, K, -1.0) * (1 - 1e-9)
+
+    # running exactly as many iterations without the stop gives the same design
+    capped = numeric_solve(drug, ctrl, spec,
+                           SolveOptions(**{**_STALL_OPTS, "max_iterations": res.iterations}))
+    assert capped.stop_reason == "capped"
+    assert capped.design == res.design
+    assert capped.criterion_value == res.criterion_value
+
+
+def test_numeric_solve_certified_stop_logs_nothing(caplog):
+    # the D optimum of gouty normal has a closed form, which the solver reaches
+    drug = DrugModel(Normal(0.0025), GOUTY, (0.0, 300.0))
+    ctrl = ControlModel(Normal(0.0025), 0.9206)
+    with caplog.at_level(logging.WARNING, logger="acdesign"):
+        res = numeric_solve(drug, ctrl, CriterionSpec("phi_p", 0.0), SolveOptions(**_STALL_OPTS))
+    assert res.stop_reason == "certified"
+    assert res.converged
+    assert caplog.records == []
 
 
 def test_numeric_solve_e_optimal_surrogate():
