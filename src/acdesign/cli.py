@@ -13,7 +13,7 @@ import csv
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Optional
 
@@ -308,11 +308,9 @@ def _solve_scenario(scn: Scenario) -> tuple[Design, str, Optional[SolveResult]]:
 def cmd_solve(args) -> int:
     scn = parse_scenario(args.scenario)
     if args.grid or args.seed is not None:
-        scn.options = SolveOptions(
+        scn.options = replace(
+            scn.options,
             grid_size=args.grid or scn.options.grid_size,
-            max_iterations=scn.options.max_iterations,
-            weight_tolerance=scn.options.weight_tolerance,
-            multistart_count=scn.options.multistart_count,
             seed=args.seed if args.seed is not None else scn.options.seed,
         )
     design, method, result = _solve_scenario(scn)

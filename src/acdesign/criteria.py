@@ -110,16 +110,34 @@ class CriterionSpec:
 # phi_p evaluation
 # ---------------------------------------------------------------------------
 
-def _contrast_information_eigs(M: np.ndarray, K: np.ndarray) -> np.ndarray:
-    """Eigenvalues of B = K^T M^- K after an estimability check."""
-    if not estimable(K, M):
-        raise EstimabilityError("K^T theta is not estimable under this design")
-    B = K.T @ pseudo_inverse(M) @ K
-    B = 0.5 * (B + B.T)
-    lam = np.linalg.eigvalsh(B)
+def phi_p_parts(
+    GK: np.ndarray, K: np.ndarray, p: float
+) -> tuple[float, Optional[np.ndarray], float]:
+    """phi_p value, sensitivity matrix W and threshold from GK = G K.
+
+    G is a generalized inverse of the information matrix and B = K^T G K
+    the contrast information; one eigendecomposition of B gives all three.
+    W and the threshold share the factor lam_max^(1+p) (lam_max^2 at
+    p = -inf), which keeps them finite for strongly negative p and cancels
+    in the normalized sensitivity.  At p = -inf, W is None when the largest
+    eigenvalue of B is repeated, since the E-optimal W is then not unique.
+    """
+    B = K.T @ GK
+    lam, V = np.linalg.eigh(0.5 * (B + B.T))
     if lam[0] <= 0:
         raise EstimabilityError("contrast information is singular")
-    return lam
+    if p == -math.inf:
+        u = GK @ V[:, -1]
+        repeated = lam.size > 1 and (lam[-1] - lam[-2]) <= 1e-8 * max(lam[-1], 1.0)
+        return float(1.0 / lam[-1]), None if repeated else np.outer(u, u), float(lam[-1])
+    if p == 0.0:
+        value = float(np.exp(-np.mean(np.log(lam))))
+    else:
+        log_mean = float(np.log(np.mean(np.exp(-p * np.log(lam) + p * np.log(lam[-1])))))
+        value = float(np.exp((log_mean - p * np.log(lam[-1])) / p))
+    ratio = lam / lam[-1]
+    W = GK @ ((V * ratio ** (-p - 1.0)) @ V.T) @ GK.T
+    return value, W, float(lam[-1] * np.sum(ratio ** (-p)))
 
 
 def phi_p_from_info(M: np.ndarray, K: np.ndarray, p: float) -> float:
@@ -127,18 +145,10 @@ def phi_p_from_info(M: np.ndarray, K: np.ndarray, p: float) -> float:
 
     p = 0 is the determinant (D) criterion, p = -1 the average-variance
     criterion, p = -inf the smallest eigenvalue of (K^T M^- K)^{-1}.
-    Powers are taken in log space so strongly negative p cannot overflow.
     """
-    lam = _contrast_information_eigs(M, K)
-    t = K.shape[1] if K.ndim == 2 else 1
-    if p == 0.0:
-        return float(np.exp(-np.mean(np.log(lam))))
-    if math.isinf(p) and p < 0:
-        return float(1.0 / lam[-1])
-    from scipy.special import logsumexp
-
-    log_mean = logsumexp(-p * np.log(lam)) - math.log(t)
-    return float(np.exp(log_mean / p))
+    if not estimable(K, M):
+        raise EstimabilityError("K^T theta is not estimable under this design")
+    return phi_p_parts(pseudo_inverse(M) @ K, K, p)[0]
 
 
 def phi_p(design: Design, drug: DrugModel, control: ControlModel, K: KMatrix, p: float) -> float:
@@ -216,39 +226,6 @@ def psi_ac(design: Design, drug: DrugModel, control: ControlModel) -> float:
     drug_term = float(g1 @ pseudo_inverse(M1) @ g1) / (1.0 - wc)
     ctrl_term = float(g2 @ pseudo_inverse(I2) @ g2) / wc
     return drug_term + ctrl_term
-
-
-def psi_ac_scalar_form(design: Design, drug: DrugModel, control: ControlModel) -> float:
-    """Alternative representation of psi for a scalar control parameter.
-
-    Written in terms of the mean-curve gradient at the target dose rather
-    than the implicit target-dose gradients; agreement with psi_ac checks
-    the implicit-function differentiation.
-    """
-    from .models import (
-        response_dose_derivative,
-        response_gradient,
-        target_dose,
-    )
-
-    if control.n_params != 1:
-        raise UnsupportedCaseError("scalar-form psi needs a one-parameter control")
-    dstar = target_dose(drug, control)
-    etap = response_dose_derivative(drug, dstar)
-    kprime = control.response_derivative()
-    ddstar_dtheta2 = kprime / etap
-    ctil = response_gradient(drug, dstar)
-    c_full = np.zeros(drug.n_params)
-    c_full[: drug.n_mean_params] = ctil
-    wc = design.control_weight
-    M1 = drug_info_matrix(design.induced(), drug)
-    if not estimable(c_full.reshape(-1, 1), M1):
-        raise EstimabilityError("target-dose gradient not estimable on the drug arm")
-    quad = float(c_full @ pseudo_inverse(M1) @ c_full)
-    i2_inv = float(pseudo_inverse(control.fisher())[0, 0])
-    return (ddstar_dtheta2**2 / kprime**2) * (
-        quad / (1.0 - wc) + kprime**2 * i2_inv / wc
-    )
 
 
 # ---------------------------------------------------------------------------

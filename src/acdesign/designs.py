@@ -2,11 +2,11 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .designs_util import efficient_round
 from .exceptions import DesignError
 from .models import ControlModel, DrugModel
 
@@ -116,15 +116,17 @@ class InducedDesign:
         if len(self.doses) != len(self.weights):
             raise DesignError("doses and weights differ in length")
 
-    def as_design(self, control_weight: float = 0.0) -> Design:
+    def as_design(self, control_weight: float = 0.0, merge_tol: float = 0.0) -> Design:
         """Joint design allocating control_weight to the active control."""
-        scale = 1.0 - control_weight
-        pts = [(d, ARM_DRUG) for d in self.doses]
-        wts = [scale * w for w in self.weights]
-        if control_weight > 0:
-            pts.append((0.0, ARM_CONTROL))
-            wts.append(control_weight)
-        return Design(tuple(pts), tuple(wts))
+        drug_weights = [(1.0 - control_weight) * w for w in self.weights]
+        return joint_design(self.doses, drug_weights, control_weight, merge_tol)
+
+
+def joint_design(doses, drug_weights, control_weight: float, merge_tol: float = 0.0) -> Design:
+    """Drug doses at their joint weights plus the active control, if it has weight."""
+    pts = [(float(d), ARM_DRUG) for d in doses] + [(0.0, ARM_CONTROL)]
+    wts = [float(w) for w in drug_weights] + [float(control_weight)]
+    return Design.from_points(pts, wts, merge_tol)
 
 
 # ---------------------------------------------------------------------------
@@ -217,5 +219,27 @@ def estimable(K: np.ndarray, M: InfoMatrix | np.ndarray, tol: float = 1e-8) -> b
 
 
 def round_design(design: Design, n: int) -> tuple[int, ...]:
-    """Integer allocations for n subjects by the efficient apportionment rule."""
-    return efficient_round(np.asarray(design.weights, float), n)
+    """Integer allocations for n subjects by multiplier-method apportionment.
+
+    Start from n_i = ceil((n - l/2) * w_i) for l support points, then move
+    single subjects between points by the efficiency quotients n_i / w_i
+    (to add) and (n_i - 1) / w_i (to remove) until the total is n.  Ties
+    break at the lowest index, so the result is deterministic.
+    """
+    w = np.asarray(design.weights, float)
+    ell = w.size
+    if n < ell:
+        raise DesignError(f"cannot allocate {n} subjects to {ell} support points")
+    alloc = np.array([math.ceil((n - ell / 2.0) * wi) for wi in w], dtype=int)
+    alloc = np.maximum(alloc, 1)
+    while alloc.sum() < n:
+        q = alloc / w
+        alloc[int(np.argmin(q))] += 1
+    while alloc.sum() > n:
+        q = np.where(alloc > 1, (alloc - 1) / w, np.inf)
+        # remove from the point with the largest quotient; lowest index on ties
+        i = int(np.argmax(np.where(np.isinf(q), -np.inf, q)))
+        if alloc[i] <= 1:
+            raise DesignError("cannot reduce allocation below one subject per point")
+        alloc[i] -= 1
+    return tuple(int(a) for a in alloc)

@@ -10,35 +10,55 @@ inverse alone can fail to witness optimality of singular designs.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 from scipy.optimize import linprog
 
-from .criteria import CriterionSpec, KMatrix, ac_contrast
+from .criteria import CriterionSpec, KMatrix, ac_contrast, phi_p_parts
 from .designs import ARM_CONTROL, ARM_DRUG, Design, info_matrix, pseudo_inverse, estimable
 from .exceptions import EstimabilityError, UnsupportedCaseError
 from .models import ControlModel, DrugModel, Normal
 from .scalar_opt import golden_max
 
 
-def _matrix_power_sym(B: np.ndarray, power: float) -> np.ndarray:
-    lam, V = np.linalg.eigh(0.5 * (B + B.T))
-    if lam[0] <= 0:
-        raise EstimabilityError("contrast information is singular")
-    return (V * lam**power) @ V.T
+class _Sensitivity:
+    """trace(I(x) W) over the joint design space, for any sensitivity matrix W.
 
-
-class _SensitivityEngine:
-    """Caches the design-level factors of the equivalence inequality.
-
-    At a drug dose the sensitivity is trace(I(d) W) for the joint
-    per-observation information I(d), which reduces to f(d)^T W11 f(d) plus,
-    for normal responses, the variance term W[m, m] / (2 sigma^4); at the
-    control point it is the constant trace(I2 W22).
+    At a drug dose it reduces to f(d)^T W11 f(d) plus, for normal
+    responses, the variance term W[m, m] / (2 sigma^4); at the control
+    point it is trace(I2 W22).
     """
+
+    def __init__(self, drug: DrugModel, control: ControlModel):
+        self.drug = drug
+        self.m = drug.n_mean_params
+        self.s1 = drug.n_params
+        self.ctrl_info = control.fisher()
+        self.is_normal = isinstance(drug.family, Normal)
+        self.var_entry = 1.0 / (2.0 * drug.family.sigma2**2) if self.is_normal else 0.0
+
+    def rows(self, W: np.ndarray, F: np.ndarray) -> np.ndarray:
+        """The drug-arm value at each dose whose regression row is in F."""
+        vals = np.einsum("ij,jk,ik->i", F, W[: self.m, : self.m], F)
+        if self.is_normal:
+            vals = vals + self.var_entry * W[self.m, self.m]
+        return vals
+
+    def at_dose(self, W: np.ndarray, d: float) -> float:
+        f = self.drug.regression_vector(d)
+        val = float(f @ W[: self.m, : self.m] @ f)
+        if self.is_normal:
+            val += self.var_entry * W[self.m, self.m]
+        return val
+
+    def at_control(self, W: np.ndarray) -> float:
+        return float(np.trace(self.ctrl_info @ W[self.s1 :, self.s1 :]))
+
+
+class _SensitivityEngine(_Sensitivity):
+    """The design-level factors W and threshold of the equivalence inequality."""
 
     def __init__(
         self,
@@ -49,65 +69,34 @@ class _SensitivityEngine:
         p: float,
         ginv: Optional[np.ndarray] = None,
     ):
+        super().__init__(drug, control)
         self.design = design
-        self.drug = drug
         self.control = control
         self.K = K.matrix
         self.p = p
         self.M = info_matrix(design, drug, control)
         if not estimable(self.K, self.M):
             raise EstimabilityError("contrast not estimable; sensitivity undefined")
-        self.G = pseudo_inverse(self.M) if ginv is None else ginv
-        B = self.K.T @ self.G @ self.K
-        self.B = 0.5 * (B + B.T)
-        if math.isinf(p) and p < 0:
-            self._setup_e_optimal()
-        else:
-            inner = _matrix_power_sym(self.B, -p - 1.0)
-            GK = self.G @ self.K
-            self.W = GK @ inner @ GK.T
-            self.threshold = float(np.trace(_matrix_power_sym(self.B, -p)))
-        s1, m = drug.n_params, drug.n_mean_params
-        self._W11 = self.W[:m, :m]
-        self._variance_term = (
-            self.W[m, m] / (2.0 * drug.family.sigma2**2)
-            if isinstance(drug.family, Normal) else 0.0
-        )
-        self._control_term = float(np.trace(control.fisher() @ self.W[s1:, s1:]))
-
-    def _setup_e_optimal(self):
-        # E = u u^T for the eigenvector of the minimal eigenvalue of
-        # (K^T M^- K)^{-1}; a multiple eigenvalue leaves E unspecified.
-        lam, V = np.linalg.eigh(self.B)
-        if lam.size > 1 and (lam[-1] - lam[-2]) <= 1e-8 * max(lam[-1], 1.0):
+        G = pseudo_inverse(self.M) if ginv is None else ginv
+        _, self.W, self.threshold = phi_p_parts(G @ self.K, self.K, p)
+        if self.W is None:
             raise UnsupportedCaseError(
                 "smallest-eigenvalue multiplicity > 1; E-optimal sensitivity undefined"
             )
-        u = V[:, -1]
-        Binv = _matrix_power_sym(self.B, -1.0)
-        GK = self.G @ self.K
-        core = Binv @ np.outer(u, u) @ Binv
-        self.W = GK @ core @ GK.T
-        self.threshold = 1.0 / float(lam[-1])
-
-    def raw(self, point: tuple[float, int]) -> float:
-        dose, arm = point
-        if arm == ARM_DRUG:
-            f = self.drug.regression_vector(dose)
-            value = float(f @ self._W11 @ f) + self._variance_term
-        elif arm == ARM_CONTROL:
-            value = self._control_term
-        else:
-            raise UnsupportedCaseError(f"unknown arm {arm}")
-        return value - self.threshold
 
     def normalized(self, point: tuple[float, int]) -> float:
-        return self.raw(point) / abs(self.threshold)
+        dose, arm = point
+        if arm == ARM_DRUG:
+            value = self.at_dose(self.W, dose)
+        elif arm == ARM_CONTROL:
+            value = self.at_control(self.W)
+        else:
+            raise UnsupportedCaseError(f"unknown arm {arm}")
+        return (value - self.threshold) / abs(self.threshold)
 
     def normalized_drug(self, doses: np.ndarray) -> np.ndarray:
         """normalized((d, ARM_DRUG)) at every dose, in one pass."""
-        F = self.drug.regression_rows(doses)
-        raw = np.einsum("ij,jk,ik->i", F, self._W11, F) + self._variance_term
+        raw = self.rows(self.W, self.drug.regression_rows(doses))
         return (raw - self.threshold) / abs(self.threshold)
 
 
@@ -123,9 +112,10 @@ def sensitivity(
     """Equivalence-theorem directional derivative at one design-space point.
 
     Nonpositive everywhere exactly at an optimal design, zero on its
-    support.  G defaults to the Moore-Penrose inverse of the information.
+    support.  The value is normalized by the threshold, as verify reports
+    it.  G defaults to the Moore-Penrose inverse of the information.
     """
-    return _SensitivityEngine(design, drug, control, K, p, ginv).raw(point)
+    return _SensitivityEngine(design, drug, control, K, p, ginv).normalized(point)
 
 
 @dataclass
@@ -139,7 +129,6 @@ class SensitivityReport:
     argmax_dose: float
     verdict: str
     tol: float
-    normalization: float
     ginv_strategy: str = "pseudoinverse"
 
     def to_csv(self, path) -> None:
@@ -240,7 +229,6 @@ def _evaluate(engine: _SensitivityEngine, grid_size: int, tol: float) -> Sensiti
         argmax_dose=float(argmax_dose),
         verdict="",
         tol=tol,
-        normalization=abs(engine.threshold),
     )
 
 

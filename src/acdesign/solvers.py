@@ -24,19 +24,19 @@ from .criteria import (
     KMatrix,
     ac_contrast,
     phi_p_from_info,
+    phi_p_parts,
     rho_p,
 )
 from .designs import (
-    ARM_CONTROL,
-    ARM_DRUG,
     Design,
     InducedDesign,
     drug_info_matrix,
     estimable,
     info_matrix,
+    joint_design,
     pseudo_inverse,
 )
-from .equivalence import SensitivityReport, verify
+from .equivalence import SensitivityReport, _Sensitivity, verify
 from .exceptions import (
     EstimabilityError,
     InfeasibleGeometryError,
@@ -117,14 +117,9 @@ def _require_matched(drug: DrugModel, control: ControlModel):
         )
 
 
-def _compose_fixed(doses, induced_weights, t1: int, t2: int) -> Design:
-    """Corollary-style joint design with control weight t2/(t1+t2)."""
-    wc = t2 / (t1 + t2)
-    pts = [(float(d), ARM_DRUG) for d in doses]
-    wts = [(1.0 - wc) * w for w in induced_weights]
-    pts.append((0.0, ARM_CONTROL))
-    wts.append(wc)
-    return Design(tuple(pts), tuple(wts))
+def _dimension_share(drug: DrugModel, control: ControlModel) -> float:
+    """Control weight t2/(t1+t2) of a D-optimal joint design."""
+    return control.n_params / (drug.n_params + control.n_params)
 
 
 def d_opt_mm(drug: DrugModel, control: ControlModel) -> Design:
@@ -162,7 +157,7 @@ def d_opt_mm(drug: DrugModel, control: ControlModel) -> Design:
     lo = max(L, inner)
     if lo >= R:
         raise InfeasibleGeometryError("interior dose collapses onto the right endpoint")
-    return _compose_fixed([lo, R], [0.5, 0.5], drug.n_params, control.n_params)
+    return InducedDesign((lo, R), (0.5, 0.5)).as_design(_dimension_share(drug, control))
 
 
 def d_opt_emax(drug: DrugModel, control: ControlModel) -> Design:
@@ -211,7 +206,9 @@ def d_opt_emax(drug: DrugModel, control: ControlModel) -> Design:
             f"interior dose {inner:.6g} falls outside ({L}, {R})"
         )
     third = 1.0 / 3.0
-    return _compose_fixed([L, inner, R], [third, third, third], drug.n_params, control.n_params)
+    return InducedDesign((L, inner, R), (third, third, third)).as_design(
+        _dimension_share(drug, control)
+    )
 
 
 def solve_d_optimal(drug: DrugModel, control: ControlModel) -> Design:
@@ -245,13 +242,8 @@ def compose_active_control(
             "composition requires a block contrast unless p = -1"
         )
     rho = rho_p(induced_opt, drug, control, K, p)
-    wc = 1.0 / (1.0 + rho)
-    pts = [(float(d), ARM_DRUG) for d in induced_opt.doses]
-    wts = [(1.0 - wc) * w for w in induced_opt.weights]
-    pts.append((0.0, ARM_CONTROL))
-    wts.append(wc)
     L, R = drug.dose_range
-    return Design.from_points(pts, wts, merge_tol=MERGE_FRACTION * (R - L))
+    return induced_opt.as_design(1.0 / (1.0 + rho), MERGE_FRACTION * (R - L))
 
 
 # ---------------------------------------------------------------------------
@@ -419,7 +411,6 @@ def _representation(F: np.ndarray, c: np.ndarray, weights: list[float]) -> tuple
             continue
         resid = float(np.max(np.abs(gamma * c - combo)))
         if resid <= 1e-8 * (1.0 + float(np.max(np.abs(combo)))):
-            cand = (gamma, tuple(signs))
             if best is None or resid < best[2]:
                 best = (gamma, tuple(signs), resid)
     if best is None:
@@ -571,32 +562,14 @@ def _one_point_candidate(drug: DrugModel, c: np.ndarray) -> Optional[tuple[float
 # AC-optimal designs
 # ---------------------------------------------------------------------------
 
-def _family_drug_share(
-    drug: DrugModel, control: ControlModel, delta: float
-) -> float:
-    """Published allocation fractions, written per family in terms of delta."""
-    fam = control.family
-    if isinstance(fam, Normal):
-        return math.sqrt(delta) / (math.sqrt(delta) + math.sqrt(fam.sigma2))
-    if isinstance(fam, NegativeBinomial):
-        mu, r2 = control.mu, fam.r
-        a = mu * math.sqrt(delta)
-        return a / (a + math.sqrt((1.0 - mu) * r2))
-    if isinstance(fam, Binomial):
-        mu = control.mu
-        return math.sqrt(delta) / (math.sqrt(delta) + math.sqrt(mu * (1.0 - mu)))
-    mu = control.mu
-    return math.sqrt(delta) / (math.sqrt(delta) + math.sqrt(mu))
-
-
 def ac_optimal(drug: DrugModel, control: ControlModel) -> Design:
     """Locally AC-optimal design: best design for estimating the target dose.
 
     Solves the induced c-optimal problem for the mean-curve gradient at the
     target dose (closed Elfving geometry for MM; otherwise one Elfving LP,
-    then closed-form support weights), then splits mass between arms.  The
-    control share is computed both from the general rho_{-1} ratio and from
-    the published family-specific formula; the two must agree.
+    then closed-form support weights), then splits mass between arms by
+    the general rho_{-1} ratio, which reproduces the published
+    family-specific allocation formulas.
     """
     _require_matched(drug, control)
     dstar = target_dose(drug, control)
@@ -605,36 +578,34 @@ def ac_optimal(drug: DrugModel, control: ControlModel) -> Design:
         sol = c_opt_elfving_2d(drug, ctil)
     else:
         sol = c_opt_numeric(drug, ctil)
-    induced = sol.induced()
-
     g1, g2 = target_dose_grad(drug, control)
-    M1 = drug_info_matrix(induced, drug)
-    if not estimable(g1.reshape(-1, 1), M1):
-        raise EstimabilityError("c-optimal solution lost estimability; please report")
-    num = float(g1 @ pseudo_inverse(M1) @ g1)
-    den = float(g2 @ pseudo_inverse(control.fisher()) @ g2)
-    rho = math.sqrt(num / den)
-    share_general = rho / (1.0 + rho)
-    share_family = _family_drug_share(drug, control, sol.delta)
-    if abs(share_general - share_family) > 1e-8:
-        raise InfeasibleGeometryError(
-            f"allocation mismatch: rho route {share_general:.12g} vs "
-            f"family formula {share_family:.12g}"
-        )
-    wc = 1.0 - share_general
-    pts = [(float(d), ARM_DRUG) for d in induced.doses]
-    wts = [share_general * w for w in induced.weights]
-    pts.append((0.0, ARM_CONTROL))
-    wts.append(wc)
+    return _attach_c_control(sol.induced(), drug, control, g1, g2)
+
+
+def _attach_c_control(
+    induced: InducedDesign, drug: DrugModel, control: ControlModel, c1, c2
+) -> Design:
+    """Joint c-optimal design for c = (c1, c2) from a c1-optimal induced design.
+
+    The control weight is 1/(1 + sqrt(c1' M1^- c1 / c2' I2^- c2)), the
+    rho_{-1} split; a contrast without a control part gets none.
+    """
+    den = float(c2 @ pseudo_inverse(control.fisher()) @ c2) if c2.size else 0.0
+    wc = 0.0
+    if den > 0.0:
+        M1 = drug_info_matrix(induced, drug)
+        if not estimable(c1.reshape(-1, 1), M1):
+            raise EstimabilityError("c-optimal solution lost estimability; please report")
+        wc = 1.0 / (1.0 + math.sqrt(float(c1 @ pseudo_inverse(M1) @ c1) / den))
     L, R = drug.dose_range
-    return Design.from_points(pts, wts, merge_tol=MERGE_FRACTION * (R - L))
+    return induced.as_design(wc, MERGE_FRACTION * (R - L))
 
 
 # ---------------------------------------------------------------------------
 # general numeric solver
 # ---------------------------------------------------------------------------
 
-class _JointProblem:
+class _JointProblem(_Sensitivity):
     """Criterion and sensitivity plumbing over the joint design space.
 
     A state is a list of drug doses, their weights and the control weight.
@@ -643,20 +614,10 @@ class _JointProblem:
     """
 
     def __init__(self, drug: DrugModel, control: ControlModel, K: KMatrix, p: float):
-        self.drug = drug
-        self.control = control
+        super().__init__(drug, control)
         self.K = K.matrix
-        self.t = self.K.shape[1]
         self.p = p
-        self.s1 = drug.n_params
-        self.s2 = control.n_params
-        self.m = drug.n_mean_params
-        self.dim = self.s1 + self.s2
-        self._ctrl_info = control.fisher()
-        self._is_normal = isinstance(drug.family, Normal)
-        self._var_entry = (
-            1.0 / (2.0 * drug.family.sigma2**2) if self._is_normal else 0.0
-        )
+        self.dim = self.s1 + control.n_params
         self._k_absmax = float(np.max(np.abs(self.K)))
 
     def p_eff(self) -> float:
@@ -675,10 +636,10 @@ class _JointProblem:
             F = self.reg_rows(doses)
         if len(doses):
             M[: self.m, : self.m] = (F * np.asarray(wd)[:, None]).T @ F
-        if self._is_normal:
-            M[self.m, self.m] = self._var_entry * float(np.sum(wd))
+        if self.is_normal:
+            M[self.m, self.m] = self.var_entry * float(np.sum(wd))
         if wc > 0:
-            M[self.s1 :, self.s1 :] = wc * self._ctrl_info
+            M[self.s1 :, self.s1 :] = wc * self.ctrl_info
         return M
 
     def analyze(self, M: np.ndarray):
@@ -691,44 +652,14 @@ class _JointProblem:
             if float(np.max(np.abs(null.T @ self.K))) > 1e-8 * (1.0 + self._k_absmax):
                 return None
         Vp = V[:, pos]
-        GK = (Vp / lam[pos]) @ (Vp.T @ self.K)
-        B = self.K.T @ GK
-        lamB, VB = np.linalg.eigh(0.5 * (B + B.T))
-        if lamB[0] <= 0:
+        try:
+            return phi_p_parts((Vp / lam[pos]) @ (Vp.T @ self.K), self.K, self.p_eff())
+        except EstimabilityError:
             return None
-        p = self.p_eff()
-        if p == 0.0:
-            value = float(np.exp(-np.mean(np.log(lamB))))
-        else:
-            log_mean = float(np.log(np.mean(np.exp(-p * np.log(lamB) + p * np.log(lamB[-1])))))
-            value = float(np.exp((log_mean - p * np.log(lamB[-1])) / p))
-        # powers of the scaled spectrum keep W and the threshold finite for
-        # strongly negative p; their common factor cancels in every ratio
-        ratio = lamB / lamB[-1]
-        inner = (VB * ratio ** (-p - 1.0)) @ VB.T
-        W = GK @ inner @ GK.T
-        threshold = float(lamB[-1] * np.sum(ratio ** (-p)))
-        return value, W, threshold
 
     def value(self, doses, wd, wc, F=None) -> float:
         res = self.analyze(self.info(doses, wd, wc, F))
         return res[0] if res is not None else -np.inf
-
-    def drug_sensitivity(self, W: np.ndarray, F: np.ndarray) -> np.ndarray:
-        vals = np.einsum("ij,jk,ik->i", F, W[: self.m, : self.m], F)
-        if self._is_normal:
-            vals = vals + self._var_entry * W[self.m, self.m]
-        return vals
-
-    def dose_sensitivity(self, W: np.ndarray, d: float) -> float:
-        f = self.drug.regression_vector(d)
-        val = float(f @ W[: self.m, : self.m] @ f)
-        if self._is_normal:
-            val += self._var_entry * W[self.m, self.m]
-        return val
-
-    def control_sensitivity(self, W: np.ndarray) -> float:
-        return float(np.trace(self._ctrl_info @ W[self.s1 :, self.s1 :]))
 
 
 def _initial_supports(drug: DrugModel, opts: SolveOptions) -> list[list[float]]:
@@ -756,21 +687,7 @@ def _solve_rank_one(
         sol = c_opt_numeric(drug, c1[:m])
     except (EstimabilityError, InfeasibleGeometryError, UnsupportedCaseError):
         return None
-    induced = sol.induced()
-    den = float(c2 @ pseudo_inverse(control.fisher()) @ c2) if c2.size else 0.0
-    if den <= 0.0:
-        wc = 0.0
-    else:
-        M1 = drug_info_matrix(induced, drug)
-        num = float(c1 @ pseudo_inverse(M1) @ c1)
-        wc = 1.0 / (1.0 + math.sqrt(num / den))
-    L, R = drug.dose_range
-    pts = [(float(d), ARM_DRUG) for d in induced.doses]
-    wts = [(1.0 - wc) * w for w in induced.weights]
-    if wc > 0:
-        pts.append((0.0, ARM_CONTROL))
-        wts.append(wc)
-    design = Design.from_points(pts, wts, merge_tol=MERGE_FRACTION * (R - L))
+    design = _attach_c_control(sol.induced(), drug, control, c1, c2)
     report = verify(design, drug, control, spec, grid_size=512, tol=1e-5)
     M = info_matrix(design, drug, control).matrix
     value = phi_p_from_info(M, K.matrix, spec.p if spec.kind == "phi_p" else -1.0)
@@ -803,11 +720,11 @@ def numeric_solve(
 
     A start stops for one of three reasons, reported as ``stop_reason`` of
     the winning start: ``"certified"`` when its equivalence violation falls
-    to 1e-9, ``"stalled"`` when an iteration leaves its state (support,
-    weights, refinement tolerance) exactly unchanged, so that every later
-    iteration would repeat it, and ``"capped"`` after ``max_iterations``
-    iterations, which is also logged as a warning on the ``acdesign``
-    logger.
+    to 1e-9, ``"stalled"`` when its state (support, weights, refinement
+    tolerance) recurs exactly, so that later iterations would only cycle
+    (the start then returns the state the cap would reach), and
+    ``"capped"`` after ``max_iterations`` iterations, which is also logged
+    as a warning on the ``acdesign`` logger.
     """
     if spec.kind == "ac":
         K, p = ac_contrast(drug, control), -1.0
@@ -838,12 +755,7 @@ def numeric_solve(
         raise EstimabilityError("no start produced an estimable design")
     value, _, doses, wd, wc, iters, stop_reason = best
     L, R = drug.dose_range
-    pts = [(float(d), ARM_DRUG) for d in doses]
-    wts = [float(w) for w in wd]
-    if wc > 0:
-        pts.append((0.0, ARM_CONTROL))
-        wts.append(float(wc))
-    design = Design.from_points(pts, wts, merge_tol=MERGE_FRACTION * (R - L))
+    design = joint_design(doses, wd, wc, MERGE_FRACTION * (R - L))
     report = verify(design, drug, control, spec, grid_size=512, tol=1e-5)
     converged = report.max_violation <= 1e-5
     return SolveResult(
@@ -879,8 +791,8 @@ def _weight_sweeps(problem: _JointProblem, doses, wd, wc, F, max_sweeps=200):
         value, W, threshold = res
         if best is None or value > best[0]:
             best = (value, wd.copy(), wc)
-        rd = problem.drug_sensitivity(W, F) / threshold
-        rc = problem.control_sensitivity(W) / threshold if wc > 0 else 0.0
+        rd = problem.rows(W, F) / threshold
+        rc = problem.at_control(W) / threshold if wc > 0 else 0.0
         dev = float(np.max(np.abs(rd - 1.0))) if rd.size else 0.0
         if wc > 0:
             dev = max(dev, abs(rc - 1.0))
@@ -920,14 +832,18 @@ def _solve_single_start(
     value = -np.inf
     iters_done = 0
     refine_tol = 1e-7 * (R - L)
-    stop_reason, state = "capped", None
+    stop_reason, seen, ends = "capped", {}, []
     for it in range(opts.max_iterations):
-        # an iteration is a function of this state alone, so once it comes
-        # back unchanged every later iteration repeats it bit for bit
-        previous, state = state, (tuple(doses), wd.tobytes(), wc, refine_tol)
-        if state == previous:
+        # an iteration is a function of this state alone, so once a state
+        # recurs every later one cycles: stop with the end state that the
+        # iteration cap would reach on that cycle
+        state = (tuple(doses), wd.tobytes(), wc, refine_tol)
+        if state in seen:
+            k = it - (it - opts.max_iterations) % (it - seen[state])
+            doses, wd, wc, value = ends[k - 1]
             stop_reason = "stalled"
             break
+        seen[state] = it
         iters_done = it + 1
         # ---- weights to their fixed point on the current support ----
         sweep = _weight_sweeps(problem, doses, wd, wc, F)
@@ -951,10 +867,10 @@ def _solve_single_start(
         if res is None:
             return None
         value, W, threshold = res
-        grid_vals = problem.drug_sensitivity(W, Fgrid)
+        grid_vals = problem.rows(W, Fgrid)
         i = int(np.argmax(grid_vals))
         d_best, v_best = golden_max(
-            lambda d: problem.dose_sensitivity(W, d),
+            lambda d: problem.at_dose(W, d),
             max(L, grid[i] - spacing),
             min(R, grid[i] + spacing),
             1e-9 * (R - L),
@@ -963,7 +879,7 @@ def _solve_single_start(
             d_best, v_best = float(grid[i]), float(grid_vals[i])
         candidates = [(v_best, d_best)]
         if include_control:
-            candidates.append((problem.control_sensitivity(W), None))
+            candidates.append((problem.at_control(W), None))
         v_top, d_top = max(candidates, key=lambda tup: tup[0])
         violation = (v_top - threshold) / abs(threshold)
         if violation <= stop_tol:
@@ -995,6 +911,7 @@ def _solve_single_start(
             F = problem.reg_rows(doses)
         total = wd.sum() + wc
         wd, wc = wd / total, wc / total
+        ends.append((doses, wd, wc, value))
     doses, wd, wc, value = _consolidate_support(problem, doses, wd, wc, value)
     order = np.argsort(doses)
     doses = [doses[i] for i in order]

@@ -43,7 +43,6 @@ from acdesign import (
     phi_p,
     pseudo_inverse,
     psi_ac,
-    psi_ac_scalar_form,
     rho_p,
     solve_d_optimal,
     verify,
@@ -56,6 +55,7 @@ from acdesign.reproduce import (
     migraine_standard_design,
 )
 from acdesign.solvers import SolveOptions
+from test_criteria import psi_ac_scalar_form
 
 
 def report(criterion: int, label: str, ok: bool, detail: str = "") -> None:

@@ -1,0 +1,43 @@
+import importlib
+from pathlib import Path
+
+import numpy as np
+
+import acdesign
+from acdesign import criteria, designs, equivalence, models, solvers
+
+PUBLIC = [
+    "ARM_CONTROL", "ARM_DRUG", "AcdesignError", "Binomial", "ControlModel", "CriterionSpec",
+    "DegenerateGradientError", "Design", "DesignError", "DoseRangeError", "DrugModel", "Emax",
+    "EstimabilityError", "InducedDesign", "InfeasibleGeometryError", "KMatrix",
+    "MichaelisMenten", "ModelError", "NegativeBinomial", "NoTargetDoseError", "Normal",
+    "Poisson", "ScenarioError", "SingularInformationError", "SolveOptions", "SolveResult",
+    "UnsupportedCaseError", "ac_contrast", "ac_efficiency", "ac_optimal", "c_opt_elfving_2d",
+    "c_opt_numeric", "compose_active_control", "d_efficiency", "d_opt_emax", "d_opt_mm",
+    "drug_info_matrix", "drug_response", "estimable", "info_matrix", "numeric_solve", "phi_p",
+    "phi_p_from_info", "phi_p_reduced", "pseudo_inverse", "psi_ac", "response_gradient",
+    "rho_p", "round_design", "sensitivity", "solve_d_optimal", "target_dose",
+    "target_dose_grad", "verify",
+]
+
+
+def test_public_names_are_pinned_and_resolve():
+    assert sorted(acdesign.__all__) == sorted(PUBLIC)
+    for name in PUBLIC:
+        assert getattr(acdesign, name) is not None, name
+
+
+def test_benchmark_tracer_finds_every_hooked_name(monkeypatch):
+    # the benchmark's per-layer counts wrap these names from outside; a
+    # refactor that removes one must fail here rather than in the benchmark
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    tracer = importlib.import_module("tracing").Tracer()
+    originals = (models.DrugModel.fisher, designs.pseudo_inverse, np.linalg.eigh,
+                 criteria.phi_p_reduced, equivalence.verify, solvers.linprog)
+    try:
+        tracer.install()
+        assert solvers.linprog is not originals[-1]
+    finally:
+        tracer.uninstall()
+    assert (models.DrugModel.fisher, designs.pseudo_inverse, np.linalg.eigh,
+            criteria.phi_p_reduced, equivalence.verify, solvers.linprog) == originals

@@ -19,17 +19,50 @@ from acdesign import (
     NegativeBinomial,
     Normal,
     Poisson,
+    UnsupportedCaseError,
     ac_efficiency,
     d_efficiency,
+    drug_info_matrix,
+    estimable,
     phi_p,
     phi_p_from_info,
     phi_p_reduced,
+    pseudo_inverse,
     psi_ac,
-    psi_ac_scalar_form,
+    response_gradient,
     rho_p,
+    target_dose,
 )
+from acdesign.models import response_dose_derivative
 
 GOUTY = Emax(0.26, 0.73, 10.5)
+
+
+def psi_ac_scalar_form(design: Design, drug: DrugModel, control: ControlModel) -> float:
+    """Alternative representation of psi for a scalar control parameter.
+
+    Written in terms of the mean-curve gradient at the target dose rather
+    than the implicit target-dose gradients; agreement with psi_ac checks
+    the implicit-function differentiation.
+    """
+    if control.n_params != 1:
+        raise UnsupportedCaseError("scalar-form psi needs a one-parameter control")
+    dstar = target_dose(drug, control)
+    etap = response_dose_derivative(drug, dstar)
+    kprime = control.response_derivative()
+    ddstar_dtheta2 = kprime / etap
+    ctil = response_gradient(drug, dstar)
+    c_full = np.zeros(drug.n_params)
+    c_full[: drug.n_mean_params] = ctil
+    wc = design.control_weight
+    M1 = drug_info_matrix(design.induced(), drug)
+    if not estimable(c_full.reshape(-1, 1), M1):
+        raise EstimabilityError("target-dose gradient not estimable on the drug arm")
+    quad = float(c_full @ pseudo_inverse(M1) @ c_full)
+    i2_inv = float(pseudo_inverse(control.fisher())[0, 0])
+    return (ddstar_dtheta2**2 / kprime**2) * (
+        quad / (1.0 - wc) + kprime**2 * i2_inv / wc
+    )
 
 
 def joint_design(doses, wd, wc):

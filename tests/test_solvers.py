@@ -34,7 +34,13 @@ from acdesign import (
     target_dose,
     verify,
 )
-from acdesign.solvers import SolveOptions
+from acdesign.reproduce import gouty_models, migraine_models
+from acdesign.solvers import (
+    SolveOptions,
+    _initial_supports,
+    _JointProblem,
+    _solve_single_start,
+)
 
 GOUTY = Emax(0.26, 0.73, 10.5)
 MIGRAINE = Emax(0.098, 0.2052, 12.3)
@@ -377,6 +383,45 @@ def test_ac_optimal_verifies_all_benchmarks():
         assert rep.verdict == "optimal", (drug.family, rep.max_violation)
 
 
+def _published_drug_share(control: ControlModel, delta: float) -> float:
+    """Published allocation fractions, written per family in terms of delta."""
+    fam = control.family
+    if isinstance(fam, Normal):
+        return math.sqrt(delta) / (math.sqrt(delta) + math.sqrt(fam.sigma2))
+    if isinstance(fam, NegativeBinomial):
+        mu, r2 = control.mu, fam.r
+        a = mu * math.sqrt(delta)
+        return a / (a + math.sqrt((1.0 - mu) * r2))
+    if isinstance(fam, Binomial):
+        mu = control.mu
+        return math.sqrt(delta) / (math.sqrt(delta) + math.sqrt(mu * (1.0 - mu)))
+    mu = control.mu
+    return math.sqrt(delta) / (math.sqrt(delta) + math.sqrt(mu))
+
+
+def _mm_draws(seed: int):
+    """One Michaelis-Menten model per family, control mean inside the curve's range."""
+    rng = np.random.default_rng(seed)
+    for family in (Normal(0.0025), NegativeBinomial(10), Binomial(), Poisson()):
+        R = float(rng.choice([100.0, 200.0, 300.0]))
+        mean = MichaelisMenten(float(rng.uniform(0.4, 0.85)), float(rng.uniform(0.03, 0.15)) * R)
+        mu = float(rng.uniform(0.1, 0.9)) * mean.emax * R / (mean.ed50 + R)
+        yield DrugModel(family, mean, (0.0, R)), ControlModel(family, mu)
+
+
+def test_ac_optimal_share_matches_published_formula():
+    # the general rho_{-1} split must reproduce the family-specific formula,
+    # with delta = c' M1^- c at the c-optimal induced design
+    case_studies = [gouty_models("normal"), gouty_models("negative_binomial"),
+                    migraine_models("normal"), migraine_models("binomial")]
+    for drug, ctrl in case_studies + list(_mm_draws(11)):
+        des = ac_optimal(drug, ctrl)
+        c = response_gradient(drug, target_dose(drug, ctrl))
+        solve = c_opt_elfving_2d if isinstance(drug.mean, MichaelisMenten) else c_opt_numeric
+        share = _published_drug_share(ctrl, solve(drug, c).delta)
+        assert abs((1.0 - des.control_weight) - share) <= 1e-8, (drug, ctrl)
+
+
 # ---------------------------------------------------------------------------
 # numeric solver
 # ---------------------------------------------------------------------------
@@ -498,3 +543,26 @@ def test_numeric_solve_e_optimal_surrogate():
     # 0.00622 is the best value of a 145k-point brute-force grid over
     # two-dose-plus-control designs; the solver must not fall below it
     assert value >= 0.00622
+
+
+def test_numeric_solve_stops_on_a_cycle(caplog):
+    # phi_{-1} on migraine binomial: start 1 returns at iteration 13 to its
+    # iteration-11 state and would alternate between two states to the cap
+    drug = DrugModel(Binomial(), MIGRAINE, (0.0, 200.0))
+    ctrl = ControlModel(Binomial(), 0.2505)
+    K = KMatrix.block_identity(drug.n_params, ctrl.n_params)
+    with caplog.at_level(logging.WARNING, logger="acdesign"):
+        res = numeric_solve(drug, ctrl, CriterionSpec("phi_p", -1.0, K))
+    assert res.stop_reason in ("certified", "stalled")
+    assert caplog.records == []
+
+    # the stop returns the state the cap reaches, whatever the cap's parity:
+    # a cap of n lands on the same cycle state as a cap of n - 2
+    problem = _JointProblem(drug, ctrl, K, -1.0)
+    support = _initial_supports(drug, SolveOptions())[1]
+    for cap in (14, 15):
+        stalled = _solve_single_start(problem, support, SolveOptions(max_iterations=cap), True)
+        capped = _solve_single_start(problem, support, SolveOptions(max_iterations=cap - 2), True)
+        assert stalled[5] == "stalled" and capped[5] == "capped"
+        assert stalled[:2] == capped[:2] and stalled[3] == capped[3]
+        assert stalled[2].tobytes() == capped[2].tobytes()
