@@ -23,10 +23,10 @@ from .criteria import (
     CriterionSpec,
     KMatrix,
     ac_efficiency,
-    d_efficiency,
     phi_p,
     phi_p_efficiency,
     psi_ac,
+    resolve_spec,
 )
 from .designs import ARM_CONTROL, Design
 from .equivalence import verify
@@ -358,13 +358,11 @@ def _criterion_payload(scn: Scenario, design: Design) -> dict:
     crit = scn.criterion
     if crit.kind == "ac":
         return {"kind": "ac", "psi": sig6(psi_ac(design, scn.drug, scn.control))}
-    K = crit.K if crit.K is not None else KMatrix.block_identity(
-        scn.drug.n_params, scn.control.n_params
-    )
+    K, p = resolve_spec(crit, scn.drug, scn.control)
     return {
         "kind": "phi_p",
-        "p": crit.p if math.isfinite(crit.p) else "-inf",
-        "value": sig6(phi_p(design, scn.drug, scn.control, K, crit.p)),
+        "p": p if math.isfinite(p) else "-inf",
+        "value": sig6(phi_p(design, scn.drug, scn.control, K, p)),
     }
 
 
@@ -397,18 +395,13 @@ def cmd_verify(args) -> int:
 def cmd_efficiency(args) -> int:
     scn = parse_scenario(args.scenario)
     design = read_design_csv(args.design)
-    values = {}
-    if scn.criterion.kind == "ac":
-        optimum = ac_optimal(scn.drug, scn.control)
-        values["ac_efficiency"] = ac_efficiency(design, optimum, scn.drug, scn.control)
-    elif scn.criterion.p == 0.0 and scn.criterion.K is None:
-        optimum = solve_d_optimal(scn.drug, scn.control)
-        values["d_efficiency"] = d_efficiency(design, optimum, scn.drug, scn.control)
+    optimum = _solve_scenario(scn)[0]
+    crit = scn.criterion
+    if crit.kind == "ac":
+        values = {"ac_efficiency": ac_efficiency(design, optimum, scn.drug, scn.control)}
     else:
-        optimum = numeric_solve(scn.drug, scn.control, scn.criterion, scn.options).design
-        values["phi_p_efficiency"] = phi_p_efficiency(
-            design, optimum, scn.drug, scn.control, scn.criterion.K, scn.criterion.p
-        )
+        key = "d_efficiency" if crit.p == 0.0 and crit.K is None else "phi_p_efficiency"
+        values = {key: phi_p_efficiency(design, optimum, scn.drug, scn.control, crit.K, crit.p)}
     payload = {k: sig6(v) for k, v in values.items()}
     if args.json:
         print(json.dumps(payload, indent=2))

@@ -207,6 +207,16 @@ def ac_contrast(drug: DrugModel, control: ControlModel) -> KMatrix:
     return KMatrix.stacked(g1.reshape(-1, 1), g2.reshape(-1, 1))
 
 
+def resolve_spec(
+    spec: CriterionSpec, drug: DrugModel, control: ControlModel
+) -> tuple[KMatrix, float]:
+    """(K, p) of a criterion: AC is phi_{-1} for ac_contrast; K defaults to the block identity."""
+    if spec.kind == "ac":
+        return ac_contrast(drug, control), -1.0
+    K = spec.K if spec.K is not None else KMatrix.block_identity(drug.n_params, control.n_params)
+    return K, spec.p
+
+
 def psi_ac(design: Design, drug: DrugModel, control: ControlModel) -> float:
     """Scaled asymptotic variance of the plug-in target-dose estimate.
 

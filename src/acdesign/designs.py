@@ -54,18 +54,9 @@ class Design:
         Numeric solvers produce near-duplicate support points; merging sums
         their weights at the weight-averaged dose.  Weights are renormalized.
         """
-        drug = sorted(
-            ((d, w) for (d, a), w in zip(points, weights) if a == ARM_DRUG and w > 0),
-            key=lambda t: t[0],
-        )
+        drug = [(d, w) for (d, a), w in zip(points, weights) if a == ARM_DRUG and w > 0]
         wc = sum(w for (_, a), w in zip(points, weights) if a == ARM_CONTROL)
-        merged: list[list[float]] = []
-        for d, w in drug:
-            if merged and merge_tol > 0 and d - merged[-1][0] <= merge_tol:
-                d0, w0 = merged[-1]
-                merged[-1] = [(d0 * w0 + d * w) / (w0 + w), w0 + w]
-            else:
-                merged.append([d, w])
+        merged = merge_support(drug, merge_tol)
         pts = [(d, ARM_DRUG) for d, _ in merged]
         wts = [w for _, w in merged]
         if wc > 0:
@@ -87,10 +78,6 @@ class Design:
     @property
     def control_weight(self) -> float:
         return sum(w for (_, a), w in zip(self.points, self.weights) if a == ARM_CONTROL)
-
-    @property
-    def has_control(self) -> bool:
-        return any(a == ARM_CONTROL for _, a in self.points)
 
     def induced(self) -> "InducedDesign":
         """Drug-arm restriction with renormalized weights (order preserved)."""
@@ -120,6 +107,22 @@ class InducedDesign:
         """Joint design allocating control_weight to the active control."""
         drug_weights = [(1.0 - control_weight) * w for w in self.weights]
         return joint_design(self.doses, drug_weights, control_weight, merge_tol)
+
+
+def merge_support(pairs, merge_tol: float) -> list[tuple[float, float]]:
+    """(dose, weight) pairs sorted by dose, neighbours within merge_tol merged.
+
+    A merged pair sits at the weight-averaged dose with the summed weight.
+    Nothing merges at merge_tol = 0, so repeated doses stay repeated.
+    """
+    merged: list[tuple[float, float]] = []
+    for d, w in sorted(pairs, key=lambda t: t[0]):
+        if merged and merge_tol > 0 and d - merged[-1][0] <= merge_tol:
+            d0, w0 = merged[-1]
+            merged[-1] = ((d0 * w0 + d * w) / (w0 + w), w0 + w)
+        else:
+            merged.append((d, w))
+    return merged
 
 
 def joint_design(doses, drug_weights, control_weight: float, merge_tol: float = 0.0) -> Design:

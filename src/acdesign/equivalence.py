@@ -16,10 +16,10 @@ from typing import Optional
 import numpy as np
 from scipy.optimize import linprog
 
-from .criteria import CriterionSpec, KMatrix, ac_contrast, phi_p_parts
+from .criteria import CriterionSpec, KMatrix, phi_p_parts, resolve_spec
 from .designs import ARM_CONTROL, ARM_DRUG, Design, info_matrix, pseudo_inverse, estimable
 from .exceptions import EstimabilityError, UnsupportedCaseError
-from .models import ControlModel, DrugModel, Normal
+from .models import ControlModel, DrugModel
 from .scalar_opt import golden_max
 
 
@@ -27,8 +27,8 @@ class _Sensitivity:
     """trace(I(x) W) over the joint design space, for any sensitivity matrix W.
 
     At a drug dose it reduces to f(d)^T W11 f(d) plus, for normal
-    responses, the variance term W[m, m] / (2 sigma^4); at the control
-    point it is trace(I2 W22).
+    responses, the family's variance information times W[m, m]; at the
+    control point it is trace(I2 W22).
     """
 
     def __init__(self, drug: DrugModel, control: ControlModel):
@@ -36,20 +36,19 @@ class _Sensitivity:
         self.m = drug.n_mean_params
         self.s1 = drug.n_params
         self.ctrl_info = control.fisher()
-        self.is_normal = isinstance(drug.family, Normal)
-        self.var_entry = 1.0 / (2.0 * drug.family.sigma2**2) if self.is_normal else 0.0
+        self.var_entry = drug.family.variance_info
 
     def rows(self, W: np.ndarray, F: np.ndarray) -> np.ndarray:
         """The drug-arm value at each dose whose regression row is in F."""
         vals = np.einsum("ij,jk,ik->i", F, W[: self.m, : self.m], F)
-        if self.is_normal:
+        if self.var_entry:
             vals = vals + self.var_entry * W[self.m, self.m]
         return vals
 
     def at_dose(self, W: np.ndarray, d: float) -> float:
         f = self.drug.regression_vector(d)
         val = float(f @ W[: self.m, : self.m] @ f)
-        if self.is_normal:
+        if self.var_entry:
             val += self.var_entry * W[self.m, self.m]
         return val
 
@@ -139,15 +138,6 @@ class SensitivityReport:
                 fh.write(f"{d:.9g},{v:.9g}\n")
 
 
-def _resolve_spec(
-    spec: CriterionSpec, drug: DrugModel, control: ControlModel
-) -> tuple[KMatrix, float]:
-    if spec.kind == "ac":
-        return ac_contrast(drug, control), -1.0
-    K = spec.K if spec.K is not None else KMatrix.block_identity(drug.n_params, control.n_params)
-    return K, spec.p
-
-
 def verify(
     design: Design,
     drug: DrugModel,
@@ -165,7 +155,7 @@ def verify(
     """
     if grid_size < 2:
         raise UnsupportedCaseError("grid_size must be at least 2")
-    K, p = _resolve_spec(spec, drug, control)
+    K, p = resolve_spec(spec, drug, control)
     engine = _SensitivityEngine(design, drug, control, K, p)
     strategy = "pseudoinverse"
     report = _evaluate(engine, grid_size, tol)

@@ -103,8 +103,22 @@ MeanFunction = Union[MichaelisMenten, Emax]
 # response families
 # ---------------------------------------------------------------------------
 
+class _Family:
+    """A family enters the information only through its weight w(eta) on g g^T.
+
+    `info(g, eta)` is the Fisher form and `row(g, eta)` the regression row f
+    with f f^T = w g g^T (also for stacked gradients and a column of means).
+    Each keeps its own arithmetic; the two differ in the last bits.
+    """
+
+    variance_info = 0.0  # information on the nuisance variance (normal only)
+    # lim eta^2 w(eta) at a zero mean; None where w does not depend on the mean
+    zero_limit = None
+    probability = False  # the mean is a success probability, below 1
+
+
 @dataclass(frozen=True)
-class Normal:
+class Normal(_Family):
     """Normal responses; the variance is a nuisance parameter to estimate."""
 
     sigma2: float
@@ -113,38 +127,67 @@ class Normal:
         if not self.sigma2 > 0:
             raise ModelError("sigma2 must be positive")
 
+    @property
+    def variance_info(self) -> float:
+        return 1.0 / (2.0 * self.sigma2**2)
+
+    def info(self, g, eta):
+        out = np.zeros((g.size + 1, g.size + 1))
+        out[:-1, :-1] = np.outer(g, g) / self.sigma2
+        out[-1, -1] = self.variance_info
+        return out
+
+    def row(self, g, eta):
+        return g / np.sqrt(self.sigma2)
+
 
 @dataclass(frozen=True)
-class NegativeBinomial:
+class NegativeBinomial(_Family):
     """Failure counts before the r-th success; r known, success probability modelled."""
 
     r: int
+
+    probability = True
 
     def __post_init__(self):
         if not (isinstance(self.r, int) and self.r >= 1):
             raise ModelError("r must be a positive integer")
 
+    @property
+    def zero_limit(self) -> int:
+        return self.r
+
+    def info(self, g, eta):
+        return self.r * np.outer(g, g) / (eta**2 * (1.0 - eta))
+
+    def row(self, g, eta):
+        return np.sqrt(self.r / (eta**2 * (1.0 - eta))) * g
+
 
 @dataclass(frozen=True)
-class Binomial:
-    pass
+class Binomial(_Family):
+    zero_limit = 0
+    probability = True
+
+    def info(self, g, eta):
+        return np.outer(g, g) / (eta * (1.0 - eta))
+
+    def row(self, g, eta):
+        return g / np.sqrt(eta * (1.0 - eta))
 
 
 @dataclass(frozen=True)
-class Poisson:
-    pass
+class Poisson(_Family):
+    zero_limit = 0
+
+    def info(self, g, eta):
+        return np.outer(g, g) / eta
+
+    def row(self, g, eta):
+        return g / np.sqrt(eta)
 
 
 Family = Union[Normal, NegativeBinomial, Binomial, Poisson]
-
-
-def _family_name(family: Family) -> str:
-    return {
-        Normal: "normal",
-        NegativeBinomial: "negative_binomial",
-        Binomial: "binomial",
-        Poisson: "poisson",
-    }[type(family)]
 
 
 # ---------------------------------------------------------------------------
@@ -173,7 +216,7 @@ class DrugModel:
         doses = np.append(doses, [L, R])
         vals = np.array([self.mean.value(d) for d in doses])
         fam = self.family
-        if isinstance(fam, (NegativeBinomial, Binomial)):
+        if fam.probability:
             if vals.max() >= 1.0:
                 raise ModelError(
                     "success probability must stay below 1 on the dose range "
@@ -233,67 +276,38 @@ class DrugModel:
         """Per-observation information for theta_1 at dose d, shape (s1, s1)."""
         self._check_dose(d)
         fam = self.family
-        g = self.mean.gradient(d)
-        if isinstance(fam, Normal):
-            s = self.n_params
-            out = np.zeros((s, s))
-            out[:-1, :-1] = np.outer(g, g) / fam.sigma2
-            out[-1, -1] = 1.0 / (2.0 * fam.sigma2**2)
-            return out
-        if isinstance(fam, NegativeBinomial):
-            p = self.mean.value(d)
-            if p == 0.0:
-                v = self._negbin_origin_direction()
-                return fam.r * np.outer(v, v)
-            if p >= 1.0:
-                raise SingularInformationError(f"success probability {p} at dose {d}")
-            return fam.r * np.outer(g, g) / (p**2 * (1.0 - p))
-        if isinstance(fam, Binomial):
-            p = self.mean.value(d)
-            if p == 0.0:
-                # Michaelis-Menten at d=0: grad^2/p ~ d -> 0
+        eta = self.mean.value(d)
+        if eta == 0.0 and fam.zero_limit is not None:
+            if not fam.zero_limit:
                 return np.zeros((self.n_params, self.n_params))
-            if p >= 1.0:
-                raise SingularInformationError(f"success probability {p} at dose {d}")
-            return np.outer(g, g) / (p * (1.0 - p))
-        if isinstance(fam, Poisson):
-            lam = self.mean.value(d)
-            if lam == 0.0:
-                # continuous extension of grad^2/lambda at the origin
-                return np.zeros((self.n_params, self.n_params))
-            return np.outer(g, g) / lam
-        raise UnsupportedCaseError(f"unknown family {fam!r}")
+            v = self._origin_direction()
+            return fam.zero_limit * np.outer(v, v)
+        if eta >= 1.0 and fam.probability:
+            raise SingularInformationError(f"success probability {eta} at dose {d}")
+        return fam.info(self.mean.gradient(d), eta)
 
-    def _negbin_origin_direction(self) -> np.ndarray:
-        # limit of grad / p as d -> 0 for the MM curve:
-        # grad ~ (d/ed50) * (1, -emax/ed50), p ~ emax*d/ed50.
+    def _origin_direction(self) -> np.ndarray:
+        # limit of grad / eta as d -> 0 for the MM curve:
+        # grad ~ (d/ed50) * (1, -emax/ed50), eta ~ emax*d/ed50.
         if not isinstance(self.mean, MichaelisMenten):
             raise SingularInformationError(
                 "negative binomial needs a positive success probability"
             )
         return np.array([1.0 / self.mean.emax, -1.0 / self.mean.ed50])
 
+    def _zero_mean_row(self) -> np.ndarray:
+        """Regression row where the mean vanishes: the limit of the family's row."""
+        if not self.family.zero_limit:
+            return np.zeros(self.n_mean_params)
+        return np.sqrt(self.family.zero_limit) * self._origin_direction()
+
     def regression_vector(self, d: float) -> np.ndarray:
         """Vector f with f f^T equal to the mean-parameter block of fisher(d)."""
         self._check_dose(d)
-        fam = self.family
-        g = self.mean.gradient(d)
-        if isinstance(fam, Normal):
-            return g / np.sqrt(fam.sigma2)
-        if isinstance(fam, NegativeBinomial):
-            p = self.mean.value(d)
-            if p == 0.0:
-                return np.sqrt(fam.r) * self._negbin_origin_direction()
-            return np.sqrt(fam.r / (p**2 * (1.0 - p))) * g
-        if isinstance(fam, Binomial):
-            p = self.mean.value(d)
-            if p == 0.0:
-                return np.zeros(self.n_mean_params)
-            return g / np.sqrt(p * (1.0 - p))
-        lam = self.mean.value(d)
-        if lam == 0.0:
-            return np.zeros(self.n_mean_params)
-        return g / np.sqrt(lam)
+        eta = self.mean.value(d)
+        if eta == 0.0 and self.family.zero_limit is not None:
+            return self._zero_mean_row()
+        return self.family.row(self.mean.gradient(d), eta)
 
     def regression_rows(self, doses) -> np.ndarray:
         """regression_vector at each dose of an array, stacked to shape (n, m)."""
@@ -302,23 +316,13 @@ class DrugModel:
         outside = ~((L - 1e-12 <= d) & (d <= R + 1e-12))
         if outside.any():
             raise DoseRangeError(f"dose {d[outside][0]} outside range [{L}, {R}]")
-        fam = self.family
         G = self.mean.gradient(d).T
-        if isinstance(fam, Normal):
-            return G / np.sqrt(fam.sigma2)
         eta = self.mean.value(d)
         zero = eta == 0.0
-        safe = np.where(zero, 0.5, eta)  # rows at eta = 0 are set below
-        if isinstance(fam, NegativeBinomial):
-            rows = np.sqrt(fam.r / (safe**2 * (1.0 - safe)))[:, None] * G
-            if zero.any():
-                rows[zero] = np.sqrt(fam.r) * self._negbin_origin_direction()
-            return rows
-        if isinstance(fam, Binomial):
-            rows = G / np.sqrt(safe * (1.0 - safe))[:, None]
-        else:
-            rows = G / np.sqrt(safe)[:, None]
-        rows[zero] = 0.0
+        if self.family.zero_limit is None or not zero.any():
+            return self.family.row(G, eta[:, None])
+        rows = self.family.row(G, np.where(zero, 0.5, eta)[:, None])
+        rows[zero] = self._zero_mean_row()
         return rows
 
 
@@ -335,7 +339,7 @@ class ControlModel:
 
     def __post_init__(self):
         fam = self.family
-        if isinstance(fam, (NegativeBinomial, Binomial)):
+        if fam.probability:
             if not 0.0 < self.mu < 1.0:
                 raise ModelError("mu must lie in (0, 1)")
         elif isinstance(fam, Poisson):
@@ -349,14 +353,8 @@ class ControlModel:
 
     def fisher(self) -> np.ndarray:
         """Per-observation information for theta_2, shape (s2, s2)."""
-        fam = self.family
-        if isinstance(fam, Normal):
-            return np.diag([1.0 / fam.sigma2, 1.0 / (2.0 * fam.sigma2**2)])
-        if isinstance(fam, NegativeBinomial):
-            return np.array([[fam.r / (self.mu**2 * (1.0 - self.mu))]])
-        if isinstance(fam, Binomial):
-            return np.array([[1.0 / (self.mu * (1.0 - self.mu))]])
-        return np.array([[1.0 / self.mu]])
+        # the control mean is mu itself, so its gradient is 1
+        return self.family.info(np.ones(1), self.mu)
 
     def expected_response(self, scale: str = "natural") -> float:
         """Expected control response on the comparison scale.

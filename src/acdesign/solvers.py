@@ -22,9 +22,9 @@ from scipy.optimize import linprog
 from .criteria import (
     CriterionSpec,
     KMatrix,
-    ac_contrast,
     phi_p_from_info,
     phi_p_parts,
+    resolve_spec,
     rho_p,
 )
 from .designs import (
@@ -34,6 +34,7 @@ from .designs import (
     estimable,
     info_matrix,
     joint_design,
+    merge_support,
     pseudo_inverse,
 )
 from .equivalence import SensitivityReport, _Sensitivity, verify
@@ -250,29 +251,6 @@ def compose_active_control(
 # c-optimal designs: Michaelis-Menten geometry
 # ---------------------------------------------------------------------------
 
-def _mm_weight_factor(drug: DrugModel, d: float) -> float:
-    """v(d) with f(d) = v(d) * grad(d); infinite at d = 0 for some families."""
-    fam = drug.family
-    p = drug.mean_value(d)
-    if isinstance(fam, Normal):
-        return 1.0 / math.sqrt(fam.sigma2)
-    if isinstance(fam, NegativeBinomial):
-        return math.sqrt(fam.r / (p**2 * (1.0 - p)))
-    if isinstance(fam, Binomial):
-        return 1.0 / math.sqrt(p * (1.0 - p))
-    return 1.0 / math.sqrt(p)
-
-
-def _mm_weight_factor_times_dose(drug: DrugModel, d: float) -> float:
-    """v(d)*d with the finite negative-binomial limit at d = 0."""
-    if d == 0.0 and isinstance(drug.family, NegativeBinomial):
-        mm = drug.mean
-        return math.sqrt(drug.family.r) * mm.ed50 / mm.emax
-    if d == 0.0:
-        return 0.0
-    return _mm_weight_factor(drug, d) * d
-
-
 def _two_point_weight(drug: DrugModel, x: float, dstar: float, upper_gap: float) -> float:
     """Shared form of the two-point weight at the inner dose x (pair {x, R}).
 
@@ -281,8 +259,9 @@ def _two_point_weight(drug: DrugModel, x: float, dstar: float, upper_gap: float)
     """
     _, R = drug.dose_range
     ed50 = drug.mean.ed50
-    n1 = _mm_weight_factor(drug, R) * R * (R - dstar) * (ed50 + x) ** 2
-    n2 = _mm_weight_factor_times_dose(drug, x) * upper_gap * (ed50 + R) ** 2
+    # with f(d) = v(d) grad(d), v(d) d = f_1(d) (ed50 + d), finite at d = 0
+    n1 = drug.regression_vector(R)[0] * (ed50 + R) * (R - dstar) * (ed50 + x) ** 2
+    n2 = drug.regression_vector(x)[0] * (ed50 + x) * upper_gap * (ed50 + R) ** 2
     return n1 / (n1 + n2)
 
 
@@ -636,7 +615,7 @@ class _JointProblem(_Sensitivity):
             F = self.reg_rows(doses)
         if len(doses):
             M[: self.m, : self.m] = (F * np.asarray(wd)[:, None]).T @ F
-        if self.is_normal:
+        if self.var_entry:
             M[self.m, self.m] = self.var_entry * float(np.sum(wd))
         if wc > 0:
             M[self.s1 :, self.s1 :] = wc * self.ctrl_info
@@ -708,7 +687,6 @@ def numeric_solve(
     control: ControlModel,
     spec: CriterionSpec,
     opts: SolveOptions = SolveOptions(),
-    include_control: bool = True,
 ) -> SolveResult:
     """Sensitivity-driven exchange solver for arbitrary contrasts and p.
 
@@ -726,13 +704,7 @@ def numeric_solve(
     ``"capped"`` after ``max_iterations`` iterations, which is also logged
     as a warning on the ``acdesign`` logger.
     """
-    if spec.kind == "ac":
-        K, p = ac_contrast(drug, control), -1.0
-    else:
-        K = spec.K if spec.K is not None else KMatrix.block_identity(
-            drug.n_params, control.n_params
-        )
-        p = spec.p
+    K, p = resolve_spec(spec, drug, control)
     if K.t == 1:
         # for a one-column contrast every phi_p is the same c-criterion, and
         # the Elfving linear program handles its singular optima far better
@@ -743,7 +715,7 @@ def numeric_solve(
     problem = _JointProblem(drug, control, K, p)
     best = None
     for idx, support in enumerate(_initial_supports(drug, opts)):
-        outcome = _solve_single_start(problem, support, opts, include_control)
+        outcome = _solve_single_start(problem, support, opts)
         if outcome is None:
             continue
         value, doses, wd, wc, iters, stop_reason = outcome
@@ -810,15 +782,12 @@ def _weight_sweeps(problem: _JointProblem, doses, wd, wc, F, max_sweeps=200):
     return best[1], best[2], best[0]
 
 
-def _solve_single_start(
-    problem: _JointProblem, support, opts: SolveOptions, include_control: bool
-):
+def _solve_single_start(problem: _JointProblem, support, opts: SolveOptions):
     drug = problem.drug
     L, R = drug.dose_range
     doses = sorted(dict.fromkeys(float(d) for d in support))
-    n0 = len(doses) + (1 if include_control else 0)
-    wd = np.full(len(doses), 1.0 / n0)
-    wc = 1.0 / n0 if include_control else 0.0
+    wd = np.full(len(doses), 1.0 / (len(doses) + 1))
+    wc = 1.0 / (len(doses) + 1)
     grid = np.linspace(L, R, opts.grid_size)
     Fgrid = problem.reg_rows(grid)
     spacing = grid[1] - grid[0]
@@ -858,8 +827,8 @@ def _solve_single_start(
             scale = tw.sum() + wc
             if np.isfinite(problem.value(trial, tw / scale, wc / scale)):
                 doses, wd, wc = trial, tw / scale, wc / scale
-                F = problem.reg_rows(doses)
-        doses, wd, F = _merge_support(problem, doses, wd, merge_tol)
+        merged = merge_support(zip(doses, wd), merge_tol)
+        doses, wd = [float(d) for d, _ in merged], np.array([w for _, w in merged])
         # ---- refine support doses ----
         doses, wd, F, value = _refine_doses(problem, doses, wd, wc, spacing, refine_tol)
         # ---- violation of the equivalence inequality ----
@@ -877,10 +846,7 @@ def _solve_single_start(
         )
         if grid_vals[i] > v_best:
             d_best, v_best = float(grid[i]), float(grid_vals[i])
-        candidates = [(v_best, d_best)]
-        if include_control:
-            candidates.append((problem.at_control(W), None))
-        v_top, d_top = max(candidates, key=lambda tup: tup[0])
+        v_top, d_top = max([(v_best, d_best), (problem.at_control(W), None)], key=lambda t: t[0])
         violation = (v_top - threshold) / abs(threshold)
         if violation <= stop_tol:
             stop_reason = "certified"
@@ -957,24 +923,6 @@ def _consolidate_support(problem, doses, wd, wc, value):
     if sweep is not None:
         wd, wc, value = sweep
     return doses, np.asarray(wd), wc, value
-
-
-def _merge_support(problem, doses, wd, merge_tol):
-    if len(doses) <= 1:
-        return list(doses), np.asarray(wd, float), problem.reg_rows(doses)
-    order = np.argsort(doses)
-    merged_d: list[float] = []
-    merged_w: list[float] = []
-    for i in order:
-        d, w = float(doses[i]), float(wd[i])
-        if merged_d and d - merged_d[-1] <= merge_tol:
-            tot = merged_w[-1] + w
-            merged_d[-1] = (merged_d[-1] * merged_w[-1] + d * w) / tot
-            merged_w[-1] = tot
-        else:
-            merged_d.append(d)
-            merged_w.append(w)
-    return merged_d, np.asarray(merged_w), problem.reg_rows(merged_d)
 
 
 def _refine_doses(problem, doses, wd, wc, spacing, tol):

@@ -82,6 +82,42 @@ def test_solve_numeric_scenario(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out) == report
 
 
+GOUTY_NORMAL_POISSON_CONTROL = """
+drug.family = normal
+drug.mean = emax
+drug.e0 = 0.26
+drug.emax = 0.73
+drug.ed50 = 10.5
+drug.sigma2 = 0.0025
+dose.min = 0
+dose.max = 300
+control.family = poisson
+control.mu = 0.9206
+criterion.kind = d
+"""
+
+
+def test_efficiency_solves_mixed_families_as_solve_does(tmp_path, capsys):
+    # no closed form covers a control family other than the drug's, so the
+    # reference optimum comes from the numeric solver, as in solve
+    scn = write(tmp_path, "mixed.scn", GOUTY_NORMAL_POISSON_CONTROL)
+    design = tmp_path / "design.csv"
+    design.write_text("dose,arm,weight\n0,0,0.25\n25,0,0.25\n300,0,0.25\n0,1,0.25\n")
+    assert main(["efficiency", scn, str(design), "--json"]) == 0
+    value = json.loads(capsys.readouterr().out)["d_efficiency"]
+    assert 0.0 < value <= 1.0
+
+
+def test_repeated_drug_dose_in_design_file_rejected(tmp_path, capsys):
+    scn = write(tmp_path, "gouty.scn", GOUTY_NB)
+    design = tmp_path / "design.csv"
+    design.write_text("dose,arm,weight\n0,0,0.25\n25,0,0.25\n25,0,0.25\n0,1,0.25\n")
+    assert main(["verify", scn, str(design)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "pairwise distinct" in err
+    assert err.count("\n") == 1
+
+
 def test_unknown_key_rejected(tmp_path):
     scn = write(tmp_path, "bad.scn", GOUTY_NB + "drug.shape = 2\n")
     assert main(["solve", scn]) == 2

@@ -75,6 +75,13 @@ def test_from_points_merges_near_duplicates():
     assert des.drug_weights[0] == pytest.approx(0.6)
 
 
+
+def test_from_points_keeps_repeated_doses_without_merge_tol():
+    # merging happens only for merge_tol > 0, so a repeated drug dose is an error
+    with pytest.raises(DesignError, match="pairwise distinct"):
+        Design.from_points([(1.0, ARM_DRUG), (1.0, ARM_DRUG), (0.0, ARM_CONTROL)],
+                           [0.3, 0.3, 0.4], merge_tol=0.0)
+
 # ---------------------------------------------------------------------------
 # information matrices
 # ---------------------------------------------------------------------------

@@ -1,6 +1,10 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import acdesign
 from acdesign import (
     Binomial,
     ControlModel,
@@ -182,6 +186,36 @@ def test_regression_rows_match_stacked_vectors(family, mean, L):
     for outside in (L - 1e-6, 50.0 + 1e-6):
         with pytest.raises(DoseRangeError):
             drug.regression_rows(np.array([L, outside]))
+
+
+@pytest.mark.parametrize("L", [0.0, 2.5])
+@pytest.mark.parametrize("family,mean", _FAMILY_CURVES,
+                         ids=[f"{type(f).__name__}-{type(m).__name__}" for f, m in _FAMILY_CURVES])
+def test_fisher_matches_regression_vector(family, mean, L):
+    # the Fisher form and the row form of a family's weight are computed
+    # separately; they agree to rounding, origin limits included
+    drug = DrugModel(family, mean, (L, 50.0))
+    m = drug.n_mean_params
+    for d in (L, 50.0, L + 1e-7, 4.9, 17.3, 49.99):
+        M = drug.fisher(d)
+        f = drug.regression_vector(d)
+        np.testing.assert_allclose(M[:m, :m], np.outer(f, f), rtol=1e-13, atol=0.0)
+        if isinstance(family, Normal):
+            assert M[m, m] == 1.0 / (2.0 * family.sigma2**2)
+            assert not M[m, :m].any() and not M[:m, m].any()
+
+
+def test_family_parameters_are_read_only_in_models():
+    # sigma2 and r enter the information only through the family classes
+    src = Path(acdesign.__file__).parent
+    readers = []
+    for path in sorted(src.glob("*.py")):
+        if path.name == "models.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute) and node.attr in ("sigma2", "r"):
+                readers.append(f"{path.name}:{node.lineno}")
+    assert readers == []
 
 
 def test_negbin_emax_without_success_at_origin_is_singular():

@@ -561,8 +561,8 @@ def test_numeric_solve_stops_on_a_cycle(caplog):
     problem = _JointProblem(drug, ctrl, K, -1.0)
     support = _initial_supports(drug, SolveOptions())[1]
     for cap in (14, 15):
-        stalled = _solve_single_start(problem, support, SolveOptions(max_iterations=cap), True)
-        capped = _solve_single_start(problem, support, SolveOptions(max_iterations=cap - 2), True)
+        stalled = _solve_single_start(problem, support, SolveOptions(max_iterations=cap))
+        capped = _solve_single_start(problem, support, SolveOptions(max_iterations=cap - 2))
         assert stalled[5] == "stalled" and capped[5] == "capped"
         assert stalled[:2] == capped[:2] and stalled[3] == capped[3]
         assert stalled[2].tobytes() == capped[2].tobytes()
