@@ -288,9 +288,8 @@ def _closed_form_method(scn: Scenario) -> Optional[str]:
     if crit.kind == "ac":
         return "closed-form/ac" if isinstance(scn.drug.mean, MichaelisMenten) else "numeric/ac-elfving"
     if crit.kind == "phi_p" and crit.p == 0.0 and crit.K is None:
-        if type(scn.drug.family) is type(scn.control.family):
-            curve = "mm" if isinstance(scn.drug.mean, MichaelisMenten) else "emax"
-            return f"closed-form/{curve}-d"
+        curve = "mm" if isinstance(scn.drug.mean, MichaelisMenten) else "emax"
+        return f"closed-form/{curve}-d"
     return None
 
 
@@ -305,14 +304,18 @@ def _solve_scenario(scn: Scenario) -> tuple[Design, str, Optional[SolveResult]]:
     return result.design, result.method, result
 
 
-def cmd_solve(args) -> int:
+def _scenario_with_options(args) -> Scenario:
+    """Parse the scenario and apply --grid and --seed to its solver options."""
     scn = parse_scenario(args.scenario)
-    if args.grid or args.seed is not None:
-        scn.options = replace(
-            scn.options,
-            grid_size=args.grid or scn.options.grid_size,
-            seed=args.seed if args.seed is not None else scn.options.seed,
-        )
+    if args.grid is not None:
+        scn.options = replace(scn.options, grid_size=args.grid)
+    if args.seed is not None:
+        scn.options = replace(scn.options, seed=args.seed)
+    return scn
+
+
+def cmd_solve(args) -> int:
+    scn = _scenario_with_options(args)
     design, method, result = _solve_scenario(scn)
     converged = result.converged if result is not None else True
     report = result.report if result is not None else None
@@ -393,7 +396,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_efficiency(args) -> int:
-    scn = parse_scenario(args.scenario)
+    scn = _scenario_with_options(args)
     design = read_design_csv(args.design)
     optimum = _solve_scenario(scn)[0]
     crit = scn.criterion

@@ -190,11 +190,14 @@ def rho_p(
     lam2 = np.linalg.eigvalsh(0.5 * (B2 + B2.T))
     if lam1[0] <= 0 or lam2[0] <= 0:
         raise EstimabilityError("contrast information is singular")
-    from scipy.special import logsumexp
-
-    log_num = logsumexp(-p * np.log(lam2)) / (p - 1.0)
-    log_den = logsumexp(-p * np.log(lam1)) / (p - 1.0)
+    log_num = _log_sum_exp(-p * np.log(lam2)) / (p - 1.0)
+    log_den = _log_sum_exp(-p * np.log(lam1)) / (p - 1.0)
     return float(np.exp(log_num - log_den))
+
+
+def _log_sum_exp(x: np.ndarray) -> float:
+    top = float(np.max(x))
+    return top + math.log(float(np.sum(np.exp(x - top))))
 
 
 # ---------------------------------------------------------------------------

@@ -116,6 +116,14 @@ class _Family:
     zero_limit = None
     probability = False  # the mean is a success probability, below 1
 
+    def response(self, mean):
+        """Expected response on the comparison scale at a given mean."""
+        return mean
+
+    def response_slope(self, mean):
+        """d response / d mean."""
+        return 1.0
+
 
 @dataclass(frozen=True)
 class Normal(_Family):
@@ -162,6 +170,15 @@ class NegativeBinomial(_Family):
 
     def row(self, g, eta):
         return np.sqrt(self.r / (eta**2 * (1.0 - eta))) * g
+
+    def response(self, mean):
+        """Count mean r(1-p)/p at success probability p."""
+        if mean <= 0.0:
+            raise SingularInformationError("count mean undefined at success probability 0")
+        return self.r * (1.0 - mean) / mean
+
+    def response_slope(self, mean):
+        return -self.r / mean**2
 
 
 @dataclass(frozen=True)
@@ -332,7 +349,11 @@ class DrugModel:
 
 @dataclass(frozen=True)
 class ControlModel:
-    """Active-control arm: same family kinds, constant parameter mu."""
+    """Active-control arm: its own response family, constant parameter mu.
+
+    The family need not match the drug arm's: the information matrix is
+    block diagonal, so each arm enters through its own family alone.
+    """
 
     family: Family
     mu: float
@@ -356,66 +377,51 @@ class ControlModel:
         # the control mean is mu itself, so its gradient is 1
         return self.family.info(np.ones(1), self.mu)
 
-    def expected_response(self, scale: str = "natural") -> float:
-        """Expected control response on the comparison scale.
+    def expected_response(self) -> float:
+        """Expected control response on its family's comparison scale.
 
-        For the negative binomial the natural scale is the count mean
-        r(1-mu)/mu; pass scale="probability" to compare on the success
-        probability itself.
+        This is mu itself, except for the negative binomial, whose response
+        is the count mean r(1-mu)/mu.
         """
-        if isinstance(self.family, NegativeBinomial):
-            if scale == "probability":
-                return self.mu
-            return self.family.r * (1.0 - self.mu) / self.mu
-        return self.mu
+        return self.family.response(self.mu)
 
-    def response_derivative(self, scale: str = "natural") -> float:
+    def response_derivative(self) -> float:
         """d expected_response / d mu, used by the implicit target-dose gradient."""
-        if isinstance(self.family, NegativeBinomial) and scale != "probability":
-            return -self.family.r / self.mu**2
-        return 1.0
-
-
-def matched_families(drug: DrugModel, control: ControlModel) -> bool:
-    return type(drug.family) is type(control.family)
+        return self.family.response_slope(self.mu)
 
 
 # ---------------------------------------------------------------------------
 # target dose
 # ---------------------------------------------------------------------------
 
-def drug_response(drug: DrugModel, d: float, scale: str = "natural") -> float:
-    """Drug-arm expected response at dose d on the comparison scale."""
-    val = drug.mean_value(d)
-    if isinstance(drug.family, NegativeBinomial) and scale != "probability":
-        if val <= 0.0:
-            raise SingularInformationError("count mean undefined at success probability 0")
-        return drug.family.r * (1.0 - val) / val
-    return val
+def drug_response(drug: DrugModel, d: float) -> float:
+    """Drug-arm expected response at dose d on its family's comparison scale."""
+    return drug.family.response(drug.mean_value(d))
 
 
-def _matched_mean_level(drug: DrugModel, control: ControlModel, scale: str) -> float:
+def _matched_mean_level(drug: DrugModel, control: ControlModel) -> float:
     """Level of the drug mean curve matching the control response."""
-    if isinstance(drug.family, NegativeBinomial) and scale != "probability":
+    if isinstance(drug.family, NegativeBinomial):
         if not isinstance(control.family, NegativeBinomial):
             raise UnsupportedCaseError(
                 "count-mean comparison needs a negative binomial control"
             )
         # r1 (1-p)/p = r2 (1-mu)/mu  solved for p
-        r1, r2, mu = drug.family.r, control.family.r, control.mu
-        ratio = r2 * (1.0 - mu) / mu
-        return r1 / (r1 + ratio)
-    return control.expected_response(scale)
+        r1 = drug.family.r
+        return r1 / (r1 + control.expected_response())
+    return control.expected_response()
 
 
-def target_dose(drug: DrugModel, control: ControlModel, scale: str = "natural") -> float:
+def target_dose(drug: DrugModel, control: ControlModel) -> float:
     """Smallest dose whose expected response matches the active control.
 
-    Closed-form rational inversion of the mean curve; a bisection fallback
-    guards against floating-point corner cases near the range endpoints.
+    Each arm's response is on its own family's comparison scale: the count
+    mean for the negative binomial, the mean itself otherwise.  Closed-form
+    rational inversion of the mean curve; a bisection fallback guards
+    against floating-point corner cases near the range endpoints.
     """
     L, R = drug.dose_range
-    level = _matched_mean_level(drug, control, scale)
+    level = _matched_mean_level(drug, control)
     lo, hi = drug.mean_value(L), drug.mean_value(R)
     if not (min(lo, hi) - 1e-12 <= level <= max(lo, hi) + 1e-12):
         raise NoTargetDoseError(
@@ -448,39 +454,30 @@ def _bisect_mean(drug: DrugModel, level: float) -> float:
     return 0.5 * (lo + hi)
 
 
-def response_gradient(drug: DrugModel, d: float, scale: str = "natural") -> np.ndarray:
+def response_gradient(drug: DrugModel, d: float) -> np.ndarray:
     """Gradient of the comparison-scale response in the mean parameters."""
-    g = drug.mean_grad(d)
-    if isinstance(drug.family, NegativeBinomial) and scale != "probability":
-        p = drug.mean_value(d)
-        return -(drug.family.r / p**2) * g
-    return g
+    return drug.family.response_slope(drug.mean_value(d)) * drug.mean_grad(d)
 
 
-def response_dose_derivative(drug: DrugModel, d: float, scale: str = "natural") -> float:
+def response_dose_derivative(drug: DrugModel, d: float) -> float:
     """d/dd of the comparison-scale response."""
-    der = drug.mean.derivative(d)
-    if isinstance(drug.family, NegativeBinomial) and scale != "probability":
-        p = drug.mean_value(d)
-        return -(drug.family.r / p**2) * der
-    return der
+    return drug.family.response_slope(drug.mean_value(d)) * drug.mean.derivative(d)
 
 
-def target_dose_grad(
-    drug: DrugModel, control: ControlModel, scale: str = "natural"
-) -> tuple[np.ndarray, np.ndarray]:
+def target_dose_grad(drug: DrugModel, control: ControlModel) -> tuple[np.ndarray, np.ndarray]:
     """Implicit-function gradients (d d*/d theta_1, d d*/d theta_2).
 
+    Each arm's response is differentiated on its own family's scale.
     Nuisance variance components carry an exact zero so the vectors keep the
     full parameter dimensions s1 and s2.
     """
-    dstar = target_dose(drug, control, scale)
-    etap = response_dose_derivative(drug, dstar, scale)
+    dstar = target_dose(drug, control)
+    etap = response_dose_derivative(drug, dstar)
     if abs(etap) < 1e-14:
         raise DegenerateGradientError("mean curve is flat at the target dose")
-    g_mean = -(1.0 / etap) * response_gradient(drug, dstar, scale)
+    g_mean = -(1.0 / etap) * response_gradient(drug, dstar)
     g1 = np.zeros(drug.n_params)
     g1[: drug.n_mean_params] = g_mean
     g2 = np.zeros(control.n_params)
-    g2[0] = control.response_derivative(scale) / etap
+    g2[0] = control.response_derivative() / etap
     return g1, g2

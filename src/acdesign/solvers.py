@@ -6,7 +6,8 @@ curve.  General c-optimal problems take one Elfving LP, then closed-form
 support weights, and a sensitivity-driven exchange algorithm handles
 arbitrary contrasts and p.
 Joint designs are assembled from drug-only solutions by the allocation rule
-w_control = 1/(1+rho_p).
+w_control = 1/(1+rho_p).  The information matrix is block diagonal, so this
+holds for any pairing of drug and control families.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from scipy.optimize import linprog
 from .criteria import (
     CriterionSpec,
     KMatrix,
-    phi_p_from_info,
+    phi_p,
     phi_p_parts,
     resolve_spec,
     rho_p,
@@ -32,7 +33,6 @@ from .designs import (
     InducedDesign,
     drug_info_matrix,
     estimable,
-    info_matrix,
     joint_design,
     merge_support,
     pseudo_inverse,
@@ -52,7 +52,6 @@ from .models import (
     NegativeBinomial,
     Normal,
     Poisson,
-    matched_families,
     response_gradient,
     target_dose,
     target_dose_grad,
@@ -76,6 +75,8 @@ class SolveOptions:
     def __post_init__(self):
         if min(self.grid_size, self.max_iterations, self.multistart_count) <= 0:
             raise UnsupportedCaseError("solver options must be positive")
+        if self.grid_size < 2:
+            raise UnsupportedCaseError("the solver's dose grid needs at least 2 points")
         if not self.weight_tolerance > 0:
             raise UnsupportedCaseError("weight tolerance must be positive")
 
@@ -111,13 +112,6 @@ class SolveResult:
 # closed-form D-optimal designs
 # ---------------------------------------------------------------------------
 
-def _require_matched(drug: DrugModel, control: ControlModel):
-    if not matched_families(drug, control):
-        raise UnsupportedCaseError(
-            "closed-form designs need the same response family on both arms"
-        )
-
-
 def _dimension_share(drug: DrugModel, control: ControlModel) -> float:
     """Control weight t2/(t1+t2) of a D-optimal joint design."""
     return control.n_params / (drug.n_params + control.n_params)
@@ -129,7 +123,6 @@ def d_opt_mm(drug: DrugModel, control: ControlModel) -> Design:
     Two drug doses: a family-specific interior dose (clipped at L) and the
     right endpoint.  The control share follows the parameter dimensions.
     """
-    _require_matched(drug, control)
     if not isinstance(drug.mean, MichaelisMenten):
         raise UnsupportedCaseError("d_opt_mm needs a Michaelis-Menten mean")
     L, R = drug.dose_range
@@ -168,7 +161,6 @@ def d_opt_emax(drug: DrugModel, control: ControlModel) -> Design:
     normal and Poisson families and the root of a rational stationarity
     equation for the binomial and negative binomial ones.
     """
-    _require_matched(drug, control)
     if not isinstance(drug.mean, Emax):
         raise UnsupportedCaseError("d_opt_emax needs an Emax mean")
     L, R = drug.dose_range
@@ -550,7 +542,6 @@ def ac_optimal(drug: DrugModel, control: ControlModel) -> Design:
     the general rho_{-1} ratio, which reproduces the published
     family-specific allocation formulas.
     """
-    _require_matched(drug, control)
     dstar = target_dose(drug, control)
     ctil = response_gradient(drug, dstar)
     if isinstance(drug.mean, MichaelisMenten):
@@ -652,7 +643,7 @@ def _initial_supports(drug: DrugModel, opts: SolveOptions) -> list[list[float]]:
 
 
 def _solve_rank_one(
-    drug: DrugModel, control: ControlModel, K: KMatrix, spec: CriterionSpec
+    drug: DrugModel, control: ControlModel, K: KMatrix, p: float, spec: CriterionSpec
 ) -> Optional[SolveResult]:
     """Route a one-column contrast through the c-optimal machinery."""
     c = K.matrix[:, 0]
@@ -668,11 +659,9 @@ def _solve_rank_one(
         return None
     design = _attach_c_control(sol.induced(), drug, control, c1, c2)
     report = verify(design, drug, control, spec, grid_size=512, tol=1e-5)
-    M = info_matrix(design, drug, control).matrix
-    value = phi_p_from_info(M, K.matrix, spec.p if spec.kind == "phi_p" else -1.0)
     return SolveResult(
         design=design,
-        criterion_value=value,
+        criterion_value=phi_p(design, drug, control, K, p),
         max_violation=report.max_violation,
         converged=report.max_violation <= 1e-5,
         iterations=0,
@@ -709,7 +698,7 @@ def numeric_solve(
         # for a one-column contrast every phi_p is the same c-criterion, and
         # the Elfving linear program handles its singular optima far better
         # than vertex exchange does
-        delegated = _solve_rank_one(drug, control, K, spec)
+        delegated = _solve_rank_one(drug, control, K, p, spec)
         if delegated is not None:
             return delegated
     problem = _JointProblem(drug, control, K, p)
@@ -728,6 +717,9 @@ def numeric_solve(
     value, _, doses, wd, wc, iters, stop_reason = best
     L, R = drug.dose_range
     design = joint_design(doses, wd, wc, MERGE_FRACTION * (R - L))
+    if problem.p_eff() != p:
+        # the starts compared through the surrogate; report the true p
+        value = phi_p(design, drug, control, K, p)
     report = verify(design, drug, control, spec, grid_size=512, tol=1e-5)
     converged = report.max_violation <= 1e-5
     return SolveResult(

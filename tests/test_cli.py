@@ -98,14 +98,47 @@ criterion.kind = d
 
 
 def test_efficiency_solves_mixed_families_as_solve_does(tmp_path, capsys):
-    # no closed form covers a control family other than the drug's, so the
-    # reference optimum comes from the numeric solver, as in solve
+    # the reference optimum comes from the same dispatch as in solve
     scn = write(tmp_path, "mixed.scn", GOUTY_NORMAL_POISSON_CONTROL)
     design = tmp_path / "design.csv"
     design.write_text("dose,arm,weight\n0,0,0.25\n25,0,0.25\n300,0,0.25\n0,1,0.25\n")
     assert main(["efficiency", scn, str(design), "--json"]) == 0
     value = json.loads(capsys.readouterr().out)["d_efficiency"]
     assert 0.0 < value <= 1.0
+
+
+def test_solve_mixed_families_takes_the_closed_forms(tmp_path):
+    # the arms need no family in common: the information is block diagonal
+    scn = write(tmp_path, "mixed.scn", GOUTY_NORMAL_POISSON_CONTROL)
+    out = tmp_path / "d"
+    assert main(["solve", scn, "--out", str(out)]) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert report["method"] == "closed-form/emax-d"
+    assert report["verification"]["verdict"] == "optimal"
+
+    ac = GOUTY_NORMAL_POISSON_CONTROL.replace("criterion.kind = d", "criterion.kind = ac")
+    scn = write(tmp_path, "mixed-ac.scn", ac)
+    out = tmp_path / "ac"
+    assert main(["solve", scn, "--out", str(out)]) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert report["verification"]["verdict"] == "optimal"
+    drug_rows = [row for row in report["design"] if row["arm"] == 0]
+    control_rows = [row for row in report["design"] if row["arm"] == 1]
+    assert [row["dose"] for row in drug_rows] == pytest.approx([99.9467], abs=1e-4)
+    assert control_rows[0]["weight"] == pytest.approx(0.950470, abs=1e-6)
+
+
+def test_grid_of_one_point_rejected(tmp_path, capsys):
+    scn = write(tmp_path, "remark1.scn", REMARK1)
+    assert main(["solve", scn, "--out", str(tmp_path), "--grid", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    # efficiency takes its optimum from the same solver options as solve
+    design = tmp_path / "design.csv"
+    design.write_text("dose,arm,weight\n1,0,0.25\n50,0,0.25\n0,1,0.5\n")
+    assert main(["efficiency", scn, str(design), "--grid", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_repeated_drug_dose_in_design_file_rejected(tmp_path, capsys):

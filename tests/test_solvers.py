@@ -1,3 +1,4 @@
+import functools
 import logging
 import math
 
@@ -17,6 +18,7 @@ from acdesign import (
     KMatrix,
     MichaelisMenten,
     NegativeBinomial,
+    NoTargetDoseError,
     Normal,
     Poisson,
     UnsupportedCaseError,
@@ -119,14 +121,51 @@ def test_d_opt_mm_left_boundary_collapse():
     assert rep.verdict == "optimal"
 
 
-def test_d_opt_mm_requires_mm_and_matched_family():
+def test_d_opt_mm_requires_mm():
     drug = DrugModel(Poisson(), GOUTY, (0.0, 300.0))
     ctrl = ControlModel(Poisson(), 0.9)
     with pytest.raises(UnsupportedCaseError):
         d_opt_mm(drug, ctrl)
-    drug_mm = DrugModel(Poisson(), MichaelisMenten(0.5, 2.0), (0.0, 50.0))
-    with pytest.raises(UnsupportedCaseError):
-        d_opt_mm(drug_mm, ControlModel(Binomial(), 0.4))
+
+
+_FAMILIES = {
+    "normal": Normal(0.0025),
+    "negbin": NegativeBinomial(10),
+    "binomial": Binomial(),
+    "poisson": Poisson(),
+}
+# (mean curve, dose range, control mu); the matched-family AC violation of
+# each sits well below the 1e-5 tolerance (MM: at most 6.5e-7)
+_PAIR_MODELS = {
+    "emax": (GOUTY, (0.0, 300.0), 0.9206),
+    "mm": (MichaelisMenten(0.6, 5.0), (0.0, 100.0), 0.45),
+}
+
+
+@pytest.mark.parametrize("curve", sorted(_PAIR_MODELS))
+@pytest.mark.parametrize("control_family", sorted(_FAMILIES))
+@pytest.mark.parametrize("drug_family", sorted(_FAMILIES))
+def test_closed_forms_certify_every_family_pair(curve, drug_family, control_family):
+    # the information matrix is block diagonal, so the closed forms need no
+    # family in common between the arms
+    mean, dose_range, mu = _PAIR_MODELS[curve]
+    drug = DrugModel(_FAMILIES[drug_family], mean, dose_range)
+    ctrl = ControlModel(_FAMILIES[control_family], mu)
+    d_design = solve_d_optimal(drug, ctrl)
+    assert verify(d_design, drug, ctrl, CriterionSpec("phi_p", 0.0)).verdict == "optimal"
+
+    if drug_family == "negbin" and control_family != "negbin":
+        # a count mean has nothing to match on a non-count control scale
+        with pytest.raises(UnsupportedCaseError):
+            ac_optimal(drug, ctrl)
+        return
+    try:
+        ac_design = ac_optimal(drug, ctrl)
+    except NoTargetDoseError:
+        # a count-mean control response lies outside every other drug curve
+        assert control_family == "negbin"
+        return
+    assert verify(ac_design, drug, ctrl, CriterionSpec("ac")).verdict == "optimal"
 
 
 def test_d_opt_emax_normal_and_poisson():
@@ -529,20 +568,32 @@ def test_numeric_solve_certified_stop_logs_nothing(caplog):
     assert caplog.records == []
 
 
-def test_numeric_solve_e_optimal_surrogate():
-    # the minimum-eigenvalue criterion is optimized through the p = -50
-    # surrogate; the result is near-optimal but not exactly certified
+@functools.lru_cache(maxsize=None)
+def _e_optimal_solve():
     drug = DrugModel(Poisson(), MichaelisMenten(0.5, 2.0), (0.0, 50.0))
     ctrl = ControlModel(Poisson(), 0.4)
     res = numeric_solve(drug, ctrl, CriterionSpec("phi_p", -math.inf),
                         SolveOptions(multistart_count=1, max_iterations=120))
+    K = KMatrix.block_identity(drug.n_params, ctrl.n_params)
+    return res, phi_p(res.design, drug, ctrl, K, -math.inf)
+
+
+def test_numeric_solve_e_optimal_surrogate():
+    # the minimum-eigenvalue criterion is optimized through the p = -50
+    # surrogate; the result is near-optimal but not exactly certified
+    res, value = _e_optimal_solve()
     assert res.design.drug_doses.size == 2
     assert res.max_violation <= 1e-2
-    K = KMatrix.block_identity(drug.n_params, ctrl.n_params)
-    value = phi_p(res.design, drug, ctrl, K, -math.inf)
     # 0.00622 is the best value of a 145k-point brute-force grid over
     # two-dose-plus-control designs; the solver must not fall below it
     assert value >= 0.00622
+
+
+def test_numeric_solve_reports_criterion_at_true_p():
+    # the starts compare through the p = -50 surrogate, but the reported
+    # value is phi_{-inf} of the returned design
+    res, value = _e_optimal_solve()
+    assert res.criterion_value == pytest.approx(value, rel=1e-12)
 
 
 def test_numeric_solve_stops_on_a_cycle(caplog):
