@@ -305,12 +305,10 @@ def _solve_scenario(scn: Scenario) -> tuple[Design, str, Optional[SolveResult]]:
 
 
 def _scenario_with_options(args) -> Scenario:
-    """Parse the scenario and apply --grid and --seed to its solver options."""
+    """Parse the scenario and apply --grid to its solver options."""
     scn = parse_scenario(args.scenario)
     if args.grid is not None:
         scn.options = replace(scn.options, grid_size=args.grid)
-    if args.seed is not None:
-        scn.options = replace(scn.options, seed=args.seed)
     return scn
 
 
@@ -319,7 +317,7 @@ def cmd_solve(args) -> int:
     design, method, result = _solve_scenario(scn)
     converged = result.converged if result is not None else True
     report = result.report if result is not None else None
-    # only the exchange loop has a stop reason and counts its iterations
+    # only the polish loop has a stop reason and counts its iterations
     stop_reason = result.stop_reason if result is not None else None
     if report is None or report.tol != args.tol:
         report = verify(design, scn.drug, scn.control, scn.criterion, tol=args.tol)
@@ -374,7 +372,7 @@ def cmd_verify(args) -> int:
     design = read_design_csv(args.design)
     report = verify(
         design, scn.drug, scn.control, scn.criterion,
-        grid_size=args.grid or 512, tol=args.tol,
+        grid_size=512 if args.grid is None else args.grid, tol=args.tol,
     )
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -433,7 +431,6 @@ def main(argv: Optional[list[str]] = None) -> int:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--grid", type=int, default=None, help="dose grid size")
     common.add_argument("--tol", type=float, default=1e-5, help="equivalence tolerance")
-    common.add_argument("--seed", type=int, default=None, help="solver seed")
     common.add_argument("--json", action="store_true", help="print JSON to stdout")
     common.add_argument("--out", default=".", help="output directory")
 

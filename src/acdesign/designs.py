@@ -110,18 +110,21 @@ class InducedDesign:
 
 
 def merge_support(pairs, merge_tol: float) -> list[tuple[float, float]]:
-    """(dose, weight) pairs sorted by dose, neighbours within merge_tol merged.
+    """(dose, weight) pairs sorted by dose, runs of neighbours merged.
 
-    A merged pair sits at the weight-averaged dose with the summed weight.
+    A run is a chain of doses each within merge_tol of the one before; it
+    becomes one pair at the weight-averaged dose with the summed weight.
     Nothing merges at merge_tol = 0, so repeated doses stay repeated.
     """
     merged: list[tuple[float, float]] = []
+    last = -math.inf
     for d, w in sorted(pairs, key=lambda t: t[0]):
-        if merged and merge_tol > 0 and d - merged[-1][0] <= merge_tol:
+        if merged and merge_tol > 0 and d - last <= merge_tol:
             d0, w0 = merged[-1]
             merged[-1] = ((d0 * w0 + d * w) / (w0 + w), w0 + w)
         else:
             merged.append((d, w))
+        last = d
     return merged
 
 

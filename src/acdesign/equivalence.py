@@ -155,6 +155,8 @@ def verify(
     """
     if grid_size < 2:
         raise UnsupportedCaseError("grid_size must be at least 2")
+    if not 0.0 <= tol < np.inf:
+        raise UnsupportedCaseError(f"tolerance must be finite and nonnegative, not {tol}")
     K, p = resolve_spec(spec, drug, control)
     engine = _SensitivityEngine(design, drug, control, K, p)
     strategy = "pseudoinverse"

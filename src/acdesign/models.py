@@ -20,7 +20,6 @@ from .exceptions import (
     ModelError,
     NoTargetDoseError,
     SingularInformationError,
-    UnsupportedCaseError,
 )
 
 _VALIDATION_GRID = 1000
@@ -124,6 +123,10 @@ class _Family:
         """d response / d mean."""
         return 1.0
 
+    def mean_at(self, response):
+        """Mean whose expected response is the given one (inverse of response)."""
+        return response
+
 
 @dataclass(frozen=True)
 class Normal(_Family):
@@ -179,6 +182,12 @@ class NegativeBinomial(_Family):
 
     def response_slope(self, mean):
         return -self.r / mean**2
+
+    def mean_at(self, response):
+        # r (1-p)/p = y solved for p; no success probability below 1 has y <= 0
+        if response <= 0.0:
+            raise NoTargetDoseError(f"count mean {response:.6g} is not positive")
+        return self.r / (self.r + response)
 
 
 @dataclass(frozen=True)
@@ -399,29 +408,17 @@ def drug_response(drug: DrugModel, d: float) -> float:
     return drug.family.response(drug.mean_value(d))
 
 
-def _matched_mean_level(drug: DrugModel, control: ControlModel) -> float:
-    """Level of the drug mean curve matching the control response."""
-    if isinstance(drug.family, NegativeBinomial):
-        if not isinstance(control.family, NegativeBinomial):
-            raise UnsupportedCaseError(
-                "count-mean comparison needs a negative binomial control"
-            )
-        # r1 (1-p)/p = r2 (1-mu)/mu  solved for p
-        r1 = drug.family.r
-        return r1 / (r1 + control.expected_response())
-    return control.expected_response()
-
-
 def target_dose(drug: DrugModel, control: ControlModel) -> float:
     """Smallest dose whose expected response matches the active control.
 
     Each arm's response is on its own family's comparison scale: the count
-    mean for the negative binomial, the mean itself otherwise.  Closed-form
+    mean for the negative binomial, the mean itself otherwise.  The drug
+    mean to reach is the one whose response equals the control's.  Closed-form
     rational inversion of the mean curve; a bisection fallback guards
     against floating-point corner cases near the range endpoints.
     """
     L, R = drug.dose_range
-    level = _matched_mean_level(drug, control)
+    level = drug.family.mean_at(control.expected_response())
     lo, hi = drug.mean_value(L), drug.mean_value(R)
     if not (min(lo, hi) - 1e-12 <= level <= max(lo, hi) + 1e-12):
         raise NoTargetDoseError(

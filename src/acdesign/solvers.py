@@ -3,8 +3,8 @@
 Closed forms cover the D-optimal designs for both mean curves under all four
 families and the Elfving-geometry c-optimal designs for the Michaelis-Menten
 curve.  General c-optimal problems take one Elfving LP, then closed-form
-support weights, and a sensitivity-driven exchange algorithm handles
-arbitrary contrasts and p.
+support weights.  Arbitrary contrasts and p take one weight solve on a
+dose grid, then an SLSQP polish of doses and weights together.
 Joint designs are assembled from drug-only solutions by the allocation rule
 w_control = 1/(1+rho_p).  The information matrix is block diagonal, so this
 holds for any pairing of drug and control families.
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import linprog
+from scipy.optimize import linprog, minimize
 
 from .criteria import (
     CriterionSpec,
@@ -66,6 +66,15 @@ LP_GRID_SIZE = 401  # doses in the Elfving LP of c_opt_numeric
 
 @dataclass(frozen=True)
 class SolveOptions:
+    """Settings of numeric_solve.
+
+    grid_size is the dose grid of the first weight solve and of the
+    violation search, max_iterations caps the summed SLSQP iterations and
+    weight_tolerance is the least grid weight that enters the support.
+    multistart_count and seed are accepted and ignored: the solver has one
+    deterministic start.
+    """
+
     grid_size: int = 257
     max_iterations: int = 400
     weight_tolerance: float = 1e-4
@@ -597,13 +606,10 @@ class _JointProblem(_Sensitivity):
             return -50.0
         return self.p
 
-    def reg_rows(self, doses) -> np.ndarray:
-        return np.array([self.drug.regression_vector(d) for d in doses])
-
     def info(self, doses, wd, wc, F=None) -> np.ndarray:
         M = np.zeros((self.dim, self.dim))
         if F is None:
-            F = self.reg_rows(doses)
+            F = self.drug.regression_rows(doses)
         if len(doses):
             M[: self.m, : self.m] = (F * np.asarray(wd)[:, None]).T @ F
         if self.var_entry:
@@ -626,20 +632,6 @@ class _JointProblem(_Sensitivity):
             return phi_p_parts((Vp / lam[pos]) @ (Vp.T @ self.K), self.K, self.p_eff())
         except EstimabilityError:
             return None
-
-    def value(self, doses, wd, wc, F=None) -> float:
-        res = self.analyze(self.info(doses, wd, wc, F))
-        return res[0] if res is not None else -np.inf
-
-
-def _initial_supports(drug: DrugModel, opts: SolveOptions) -> list[list[float]]:
-    L, R = drug.dose_range
-    starts = [list(np.linspace(L, R, 5))]
-    rng = np.random.default_rng(opts.seed)
-    for _ in range(opts.multistart_count - 1):
-        pts = np.sort(rng.uniform(L, R, size=5))
-        starts.append(list(pts))
-    return starts
 
 
 def _solve_rank_one(
@@ -670,83 +662,124 @@ def _solve_rank_one(
     )
 
 
-
 def numeric_solve(
     drug: DrugModel,
     control: ControlModel,
     spec: CriterionSpec,
     opts: SolveOptions = SolveOptions(),
 ) -> SolveResult:
-    """Sensitivity-driven exchange solver for arbitrary contrasts and p.
+    """Grid-then-polish solver for arbitrary contrasts and p.
 
-    Each start alternates monotone multiplicative weight updates, support
-    purging, golden-section refinement of the support doses, and addition
-    of the dose with the largest sensitivity violation.  Starts differ in
-    their initial five-point support; the best criterion value wins and the
-    winning design is certified with the equivalence theorem.
+    Multiplicative weight sweeps solve the weights once on a uniform dose
+    grid, and each run of neighbouring weighted grid doses becomes one
+    support dose.  SLSQP then polishes doses and weights together; while
+    the equivalence inequality is violated, the worst point joins the
+    support and the polish runs again (Yang, Biedermann & Tang, JASA 108,
+    2013).  The returned design is certified with the equivalence theorem.
 
-    A start stops for one of three reasons, reported as ``stop_reason`` of
-    the winning start: ``"certified"`` when its equivalence violation falls
-    to 1e-9, ``"stalled"`` when its state (support, weights, refinement
-    tolerance) recurs exactly, so that later iterations would only cycle
-    (the start then returns the state the cap would reach), and
-    ``"capped"`` after ``max_iterations`` iterations, which is also logged
-    as a warning on the ``acdesign`` logger.
+    The loop stops for one of three reasons, reported as ``stop_reason``:
+    ``"certified"`` when the equivalence violation falls to 1e-9,
+    ``"stalled"`` when a polish round does not raise the criterion (the
+    best state so far is kept), and ``"capped"`` once the SLSQP
+    iterations, which ``iterations`` counts, reach ``max_iterations``;
+    that is also logged as a warning on the ``acdesign`` logger.
     """
     K, p = resolve_spec(spec, drug, control)
     if K.t == 1:
         # for a one-column contrast every phi_p is the same c-criterion, and
         # the Elfving linear program handles its singular optima far better
-        # than vertex exchange does
+        # than a polish does
         delegated = _solve_rank_one(drug, control, K, p, spec)
         if delegated is not None:
             return delegated
     problem = _JointProblem(drug, control, K, p)
-    best = None
-    for idx, support in enumerate(_initial_supports(drug, opts)):
-        outcome = _solve_single_start(problem, support, opts)
-        if outcome is None:
-            continue
-        value, doses, wd, wc, iters, stop_reason = outcome
-        if stop_reason == "capped":
-            _log.warning("numeric_solve: start %d ran to the %d-iteration cap", idx, iters)
-        if best is None or value > best[0] + 1e-15:
-            best = (value, idx, doses, wd, wc, iters, stop_reason)
-    if best is None:
-        raise EstimabilityError("no start produced an estimable design")
-    value, _, doses, wd, wc, iters, stop_reason = best
     L, R = drug.dose_range
-    design = joint_design(doses, wd, wc, MERGE_FRACTION * (R - L))
+    grid = np.linspace(L, R, opts.grid_size)
+    Fgrid = drug.regression_rows(grid)
+    # the control carries weight exactly when the contrast reaches it
+    with_control = bool(np.any(K.matrix[problem.s1 :]))
+    share = 1.0 / (grid.size + with_control)
+    sweep = _weight_sweeps(problem, grid, np.full(grid.size, share), share * with_control, Fgrid)
+    if sweep is None:
+        raise EstimabilityError("the uniform grid design does not estimate the contrast")
+    wd, wc, _ = sweep
+    keep = wd >= min(opts.weight_tolerance, float(wd.max()))
+    merged = merge_support(zip(grid[keep], wd[keep]), 1.5 * (grid[1] - grid[0]))
+    state = _normalized([d for d, _ in merged], [w for _, w in merged], wc)
+    res = problem.analyze(problem.info(*state))
+    if res is None:
+        # on a coarse grid two support doses can be neighbours
+        state = _normalized(grid[keep], wd[keep], wc)
+        res = problem.analyze(problem.info(*state))
+        if res is None:
+            raise EstimabilityError("the grid weights do not estimate the contrast")
+    value = res[0]
+    start, iterations, stop_reason = state, 0, None
+    while stop_reason is None:
+        (doses, wd, wc), nit = _polish(problem, start, with_control, opts.max_iterations - iterations)
+        iterations += nit
+        # SLSQP judges steps by the criterion, which resolves weights only
+        # to about sqrt(eps); the sweeps take them to the 1e-9 tolerance
+        F = drug.regression_rows(doses)
+        sweep = _weight_sweeps(problem, doses, wd, wc, F)
+        polished = (doses, *sweep[:2]) if sweep is not None else (doses, wd, wc)
+        trial = problem.analyze(problem.info(*polished, F))
+        improved = trial is not None and trial[0] > value
+        if improved:
+            state, res = polished, trial
+        value, W, threshold = res
+        violation, d_top = _worst_point(problem, W, threshold, grid, Fgrid)
+        if violation <= 1e-9:
+            stop_reason = "certified"
+        elif not improved:
+            stop_reason = "stalled"
+        elif iterations >= opts.max_iterations:
+            stop_reason = "capped"
+            _log.warning("numeric_solve ran to the %d-iteration cap", opts.max_iterations)
+        else:
+            doses, wd, wc = state
+            if d_top is None:
+                start = _normalized(doses, wd, wc + 0.01)
+            else:
+                start = _normalized(np.append(doses, d_top), np.append(wd, 0.01), wc)
+    design = joint_design(*state, MERGE_FRACTION * (R - L))
     if problem.p_eff() != p:
-        # the starts compared through the surrogate; report the true p
+        # the loop compared through the surrogate; report the true p
         value = phi_p(design, drug, control, K, p)
     report = verify(design, drug, control, spec, grid_size=512, tol=1e-5)
-    converged = report.max_violation <= 1e-5
     return SolveResult(
         design=design,
         criterion_value=value,
         max_violation=report.max_violation,
-        converged=converged,
-        iterations=iters,
-        method="numeric/vertex-exchange",
+        converged=report.max_violation <= 1e-5,
+        iterations=iterations,
+        method="numeric/grid-polish",
         report=report,
         stop_reason=stop_reason,
     )
 
 
-def _weight_sweeps(problem: _JointProblem, doses, wd, wc, F, max_sweeps=200):
+def _normalized(doses, wd, wc):
+    """(doses, drug weights, control weight) with the weights summing to 1."""
+    wd = np.asarray(wd, float)
+    total = wd.sum() + wc
+    return np.asarray(doses, float), wd / total, wc / total
+
+
+def _weight_sweeps(problem: _JointProblem, doses, wd, wc, F):
     """Multiplicative reweighting to the fixed point on a fixed support.
 
-    Each weight is multiplied by its sensitivity ratio raised to 1/(1-p),
-    the classical damping that keeps the update stable for strongly
-    negative p.  The best state seen is kept, which makes the sweep safe
-    even where the update is not provably monotone.
+    Each weight is multiplied by its sensitivity ratio raised to
+    1/(2(1-p)).  The factor 1/(1-p) is the classical damping that keeps the
+    update stable for strongly negative p; the extra 1/2 stops the
+    two-state oscillation that contrasts sharing columns across the arms
+    show at p = 0.  A sweep that reaches the fixed point returns it;
+    otherwise the best state seen is kept, which makes the sweep safe even
+    where the update is not provably monotone.
     """
-    exponent = 1.0 / (1.0 - problem.p_eff())
-    if exponent > 0.4:
-        sweeps = max_sweeps
-    else:
-        sweeps = int(max_sweeps / exponent / 2)
+    exponent = 0.5 / (1.0 - problem.p_eff())
+    # the smaller steps of strongly negative p get proportionally more sweeps
+    sweeps = 100 if exponent > 0.2 else int(25 / exponent)
     best = None
     for _ in range(sweeps):
         res = problem.analyze(problem.info(doses, wd, wc, F))
@@ -761,7 +794,7 @@ def _weight_sweeps(problem: _JointProblem, doses, wd, wc, F, max_sweeps=200):
         if wc > 0:
             dev = max(dev, abs(rc - 1.0))
         if dev <= 1e-10:
-            break
+            return wd, wc, value
         wd = wd * np.maximum(rd, 0.0) ** exponent
         wc = wc * max(rc, 0.0) ** exponent
         total = wd.sum() + wc
@@ -774,164 +807,64 @@ def _weight_sweeps(problem: _JointProblem, doses, wd, wc, F, max_sweeps=200):
     return best[1], best[2], best[0]
 
 
-def _solve_single_start(problem: _JointProblem, support, opts: SolveOptions):
-    drug = problem.drug
-    L, R = drug.dose_range
-    doses = sorted(dict.fromkeys(float(d) for d in support))
-    wd = np.full(len(doses), 1.0 / (len(doses) + 1))
-    wc = 1.0 / (len(doses) + 1)
-    grid = np.linspace(L, R, opts.grid_size)
-    Fgrid = problem.reg_rows(grid)
-    spacing = grid[1] - grid[0]
-    # tighter than the nominal 1e-6 so criterion values settle to ~1e-9
-    stop_tol = 1e-9
-    merge_tol = MERGE_FRACTION * (R - L)
+def _polish(problem: _JointProblem, state, with_control: bool, maxiter: int):
+    """SLSQP on -log phi over the support doses and all weights at once.
 
-    F = problem.reg_rows(doses)
-    if problem.analyze(problem.info(doses, wd, wc, F)) is None:
-        return None
-    value = -np.inf
-    iters_done = 0
-    refine_tol = 1e-7 * (R - L)
-    stop_reason, seen, ends = "capped", {}, []
-    for it in range(opts.max_iterations):
-        # an iteration is a function of this state alone, so once a state
-        # recurs every later one cycles: stop with the end state that the
-        # iteration cap would reach on that cycle
-        state = (tuple(doses), wd.tobytes(), wc, refine_tol)
-        if state in seen:
-            k = it - (it - opts.max_iterations) % (it - seen[state])
-            doses, wd, wc, value = ends[k - 1]
-            stop_reason = "stalled"
-            break
-        seen[state] = it
-        iters_done = it + 1
-        # ---- weights to their fixed point on the current support ----
-        sweep = _weight_sweeps(problem, doses, wd, wc, F)
-        if sweep is None:
-            return None
-        wd, wc, value = sweep
-        # ---- purge and merge support ----
-        keep = wd >= opts.weight_tolerance
-        if not keep.all() and keep.any():
-            trial = [d for d, k in zip(doses, keep) if k]
-            tw = wd[keep]
-            scale = tw.sum() + wc
-            if np.isfinite(problem.value(trial, tw / scale, wc / scale)):
-                doses, wd, wc = trial, tw / scale, wc / scale
-        merged = merge_support(zip(doses, wd), merge_tol)
-        doses, wd = [float(d) for d, _ in merged], np.array([w for _, w in merged])
-        # ---- refine support doses ----
-        doses, wd, F, value = _refine_doses(problem, doses, wd, wc, spacing, refine_tol)
-        # ---- violation of the equivalence inequality ----
-        res = problem.analyze(problem.info(doses, wd, wc, F))
-        if res is None:
-            return None
-        value, W, threshold = res
-        grid_vals = problem.rows(W, Fgrid)
-        i = int(np.argmax(grid_vals))
-        d_best, v_best = golden_max(
-            lambda d: problem.at_dose(W, d),
-            max(L, grid[i] - spacing),
-            min(R, grid[i] + spacing),
-            1e-9 * (R - L),
-        )
-        if grid_vals[i] > v_best:
-            d_best, v_best = float(grid[i]), float(grid_vals[i])
-        v_top, d_top = max([(v_best, d_best), (problem.at_control(W), None)], key=lambda t: t[0])
-        violation = (v_top - threshold) / abs(threshold)
-        if violation <= stop_tol:
-            stop_reason = "certified"
-            break
-        if violation <= 1e-3:
-            refine_tol = 1e-11 * (R - L)
-        # ---- add the violator; the next weight pass sizes it properly ----
-        if d_top is None:
-            def mixed(alpha: float) -> float:
-                return problem.value(doses, (1 - alpha) * wd, (1 - alpha) * wc + alpha, F)
-
-            alpha, mval = golden_max(mixed, 0.0, 0.5, 1e-5)
-            if mval > value:
-                wc = (1 - alpha) * wc + alpha
-                wd = (1 - alpha) * wd
-                value = mval
-        elif all(abs(d_top - d) > merge_tol for d in doses):
-            def mixed(alpha: float) -> float:
-                trial = doses + [d_top]
-                tw = np.append((1 - alpha) * wd, alpha)
-                return problem.value(trial, tw, (1 - alpha) * wc)
-
-            alpha, mval = golden_max(mixed, 0.0, 0.5, 1e-5)
-            alpha = max(alpha, 10.0 * opts.weight_tolerance)
-            doses = doses + [d_top]
-            wd = np.append((1 - alpha) * wd, alpha)
-            wc = (1 - alpha) * wc
-            F = problem.reg_rows(doses)
-        total = wd.sum() + wc
-        wd, wc = wd / total, wc / total
-        ends.append((doses, wd, wc, value))
-    doses, wd, wc, value = _consolidate_support(problem, doses, wd, wc, value)
-    order = np.argsort(doses)
-    doses = [doses[i] for i in order]
-    wd = np.asarray(wd)[order]
-    return value, doses, wd, wc, iters_done, stop_reason
-
-
-def _consolidate_support(problem, doses, wd, wc, value):
-    """Drop support points whose removal costs nothing.
-
-    Flat optima let low-weight near-duplicates of a support point survive
-    the weight iteration; removing them and reoptimizing the weights keeps
-    the criterion within rounding of the incumbent.
+    Doses enter as fractions of the dose range, so that all variables share
+    the unit scale.  Both gradient parts come from one analysis: a weight's
+    is its sensitivity, a dose's its weight times the central difference of
+    the sensitivity there, each divided by the threshold.  Returns the
+    polished state, without weights of 1e-9 or less, and the iterations.
     """
-    res = problem.analyze(problem.info(doses, np.asarray(wd), wc))
-    if res is not None:
-        value = res[0]  # re-anchor so removals compare like with like
-    improved = True
-    while improved and len(doses) > 1:
-        improved = False
-        order = np.argsort(wd)
-        for i in order:
-            if wd[i] > 0.3:
-                continue
-            trial = [d for j, d in enumerate(doses) if j != i]
-            tw = np.delete(np.asarray(wd), i)
-            scale = tw.sum() + wc
-            sweep = _weight_sweeps(
-                problem, trial, tw / scale, wc / scale, problem.reg_rows(trial)
-            )
-            if sweep is None:
-                continue
-            twd, twc, tval = sweep
-            if tval >= value * (1.0 - 1e-9):
-                doses, wd, wc, value = trial, twd, twc, tval
-                improved = True
-                break
-    # a kept duplicate may sit slightly off the true support dose
     L, R = problem.drug.dose_range
-    spacing = 1e-3 * (R - L)
-    doses, wd, _, value = _refine_doses(problem, doses, wd, wc, spacing, 1e-11 * (R - L))
-    sweep = _weight_sweeps(problem, doses, np.asarray(wd), wc, problem.reg_rows(doses))
-    if sweep is not None:
-        wd, wc, value = sweep
-    return doses, np.asarray(wd), wc, value
+    doses, wd, wc = state
+    n = doses.size
+    h = 1e-6 * (R - L)
+
+    def objective(x):
+        d, w, c = L + x[:n] * (R - L), x[n : 2 * n], x[2 * n] if with_control else 0.0
+        up, down = np.minimum(d + h, R), np.maximum(d - h, L)
+        F = problem.drug.regression_rows(np.concatenate([d, up, down]))
+        res = problem.analyze(problem.info(d, w, c, F[:n]))
+        if res is None:
+            return 1e10, np.zeros_like(x)
+        value, W, threshold = res
+        s = problem.rows(W, F)
+        grad = [w * (s[n : 2 * n] - s[2 * n :]) / (up - down) * (R - L), s[:n]]
+        if with_control:
+            grad.append([problem.at_control(W)])
+        return -math.log(value), -np.concatenate(grad) / threshold
+
+    x0 = np.concatenate([(doses - L) / (R - L), wd, [wc] if with_control else []])
+    total = np.concatenate([np.zeros(n), np.ones(x0.size - n)])
+    out = minimize(
+        objective, x0, jac=True, method="SLSQP", bounds=[(0.0, 1.0)] * x0.size,
+        constraints={"type": "eq", "fun": lambda x: x @ total - 1.0, "jac": lambda x: total},
+        options={"maxiter": maxiter, "ftol": 1e-16},
+    )
+    x = np.clip(out.x, 0.0, 1.0)
+    live = x[n : 2 * n] > 1e-9
+    wc = x[2 * n] if with_control and x[2 * n] > 1e-9 else 0.0
+    return _normalized(L + x[:n][live] * (R - L), x[n : 2 * n][live], wc), int(out.nit)
 
 
-def _refine_doses(problem, doses, wd, wc, spacing, tol):
+def _worst_point(problem: _JointProblem, W, threshold, grid, Fgrid):
+    """Normalized equivalence violation and its point (None: the control).
+
+    The grid maximum is refined by golden-section search within one grid
+    spacing; the control point is compared last.
+    """
     L, R = problem.drug.dose_range
-    doses = list(doses)
-    F = problem.reg_rows(doses)
-    value = problem.value(doses, wd, wc, F)
-    span = spacing * 4.0
-    for i, d0 in enumerate(doses):
-        def moved(d: float) -> float:
-            trial = doses.copy()
-            trial[i] = float(d)
-            return problem.value(trial, wd, wc)
-
-        d_new, v_new = golden_max(moved, max(L, d0 - span), min(R, d0 + span), tol)
-        if v_new > value:
-            doses[i] = float(d_new)
-            value = v_new
-    F = problem.reg_rows(doses)
-    return doses, np.asarray(wd), F, value
+    spacing = grid[1] - grid[0]
+    grid_vals = problem.rows(W, Fgrid)
+    i = int(np.argmax(grid_vals))
+    d_best, v_best = golden_max(
+        lambda d: problem.at_dose(W, d),
+        max(L, grid[i] - spacing),
+        min(R, grid[i] + spacing),
+        1e-9 * (R - L),
+    )
+    if grid_vals[i] > v_best:
+        d_best, v_best = float(grid[i]), float(grid_vals[i])
+    v_top, d_top = max([(v_best, d_best), (problem.at_control(W), None)], key=lambda t: t[0])
+    return (v_top - threshold) / abs(threshold), d_top

@@ -141,6 +141,26 @@ def test_grid_of_one_point_rejected(tmp_path, capsys):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("flags", [
+    ["--tol", "nan"], ["--tol", "inf"], ["--tol", "-1"], ["--grid", "0"],
+], ids=["tol-nan", "tol-inf", "tol-negative", "grid-0"])
+def test_verify_rejects_invalid_tolerance_and_grid(tmp_path, capsys, flags):
+    # a non-finite tolerance would certify any design, and a zero grid is
+    # rejected here as in solve rather than replaced by the default
+    scn = write(tmp_path, "gouty.scn", GOUTY_NB)
+    design = tmp_path / "design.csv"
+    design.write_text("dose,arm,weight\n0,0,0.3\n25,0,0.3\n300,0,0.3\n0,1,0.1\n")
+    assert main(["verify", scn, str(design), "--out", str(tmp_path)] + flags) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_solver_seed_is_accepted_and_ignored(tmp_path):
+    # the solver has one deterministic start, so no seed value can break it
+    scn = write(tmp_path, "s.scn", REMARK1.replace("solver.seed = 1", "solver.seed = -1"))
+    assert main(["solve", scn, "--out", str(tmp_path / "out")]) == 0
+
+
 def test_repeated_drug_dose_in_design_file_rejected(tmp_path, capsys):
     scn = write(tmp_path, "gouty.scn", GOUTY_NB)
     design = tmp_path / "design.csv"

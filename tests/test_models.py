@@ -301,6 +301,16 @@ def test_target_dose_negbin_scales():
     )
 
 
+def test_target_dose_negbin_drug_matches_any_control():
+    # the drug's count mean r(1-p)/p meets the control's response on any scale
+    drug = DrugModel(NegativeBinomial(10), GOUTY_MEAN, (0.0, 300.0))
+    ctrl = ControlModel(Poisson(), 0.9206)
+    assert drug_response(drug, target_dose(drug, ctrl)) == pytest.approx(0.9206, rel=1e-12)
+    # no success probability below 1 gives a count mean of 0 or below
+    with pytest.raises(NoTargetDoseError):
+        target_dose(drug, ControlModel(Normal(1.0), -0.5))
+
+
 def test_target_dose_out_of_range():
     drug = DrugModel(Normal(1.0), MichaelisMenten(0.5, 2.0), (0.0, 50.0))
     with pytest.raises(NoTargetDoseError):
