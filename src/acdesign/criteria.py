@@ -9,7 +9,7 @@ from typing import Optional
 
 import numpy as np
 
-from .designs import Design, InducedDesign, drug_info_matrix, info_matrix, pseudo_inverse, estimable
+from .designs import Design, InducedDesign, drug_info_matrix, info_matrix, pinv_contrast
 from .exceptions import DesignError, EstimabilityError, UnsupportedCaseError
 from .models import ControlModel, DrugModel, target_dose_grad
 
@@ -146,20 +146,18 @@ def phi_p_from_info(M: np.ndarray, K: np.ndarray, p: float) -> float:
     p = 0 is the determinant (D) criterion, p = -1 the average-variance
     criterion, p = -inf the smallest eigenvalue of (K^T M^- K)^{-1}.
     """
-    if not estimable(K, M):
-        raise EstimabilityError("K^T theta is not estimable under this design")
-    return phi_p_parts(pseudo_inverse(M) @ K, K, p)[0]
+    GK, _ = pinv_contrast(M, K, "K^T theta is not estimable under this design")
+    return phi_p_parts(GK, K, p)[0]
 
 
 def phi_p(design: Design, drug: DrugModel, control: ControlModel, K: KMatrix, p: float) -> float:
     """phi_p value of a joint design."""
-    M = info_matrix(design, drug, control).matrix
-    return phi_p_from_info(M, K.matrix, p)
+    return phi_p_from_info(info_matrix(design, drug, control), K.matrix, p)
 
 
 def phi_p_reduced(induced: InducedDesign, drug: DrugModel, k11: np.ndarray, p: float) -> float:
     """Drug-only criterion on the induced design (the placebo-style problem)."""
-    M1 = drug_info_matrix(induced, drug).matrix
+    M1 = drug_info_matrix(induced, drug)
     return phi_p_from_info(M1, np.atleast_2d(np.asarray(k11, float)), p)
 
 
@@ -181,11 +179,9 @@ def rho_p(
         return K.t1 / K.t2
     if math.isinf(p) and p < 0:
         p = NEG_INF_SURROGATE
-    M1 = drug_info_matrix(induced_opt, drug).matrix
-    if not estimable(K.k11, M1):
-        raise EstimabilityError("drug block of the contrast is not estimable")
-    B1 = K.k11.T @ pseudo_inverse(M1) @ K.k11
-    B2 = K.k22.T @ pseudo_inverse(control.fisher()) @ K.k22
+    M1 = drug_info_matrix(induced_opt, drug)
+    B1 = K.k11.T @ pinv_contrast(M1, K.k11, "drug block of the contrast is not estimable")[0]
+    B2 = K.k22.T @ pinv_contrast(control.fisher(), K.k22, "control block is not estimable")[0]
     lam1 = np.linalg.eigvalsh(0.5 * (B1 + B1.T))
     lam2 = np.linalg.eigvalsh(0.5 * (B2 + B2.T))
     if lam1[0] <= 0 or lam2[0] <= 0:
@@ -231,14 +227,10 @@ def psi_ac(design: Design, drug: DrugModel, control: ControlModel) -> float:
     if wc <= 0 or wc >= 1:
         raise DesignError("AC criterion needs weight on both arms")
     M1 = drug_info_matrix(design.induced(), drug)
-    if not estimable(g1.reshape(-1, 1), M1):
-        raise EstimabilityError("target-dose gradient not estimable on the drug arm")
+    h1, _ = pinv_contrast(M1, g1, "target-dose gradient not estimable on the drug arm")
     I2 = control.fisher()
-    if not estimable(g2.reshape(-1, 1), I2):
-        raise EstimabilityError("target-dose gradient not estimable on the control arm")
-    drug_term = float(g1 @ pseudo_inverse(M1) @ g1) / (1.0 - wc)
-    ctrl_term = float(g2 @ pseudo_inverse(I2) @ g2) / wc
-    return drug_term + ctrl_term
+    h2, _ = pinv_contrast(I2, g2, "target-dose gradient not estimable on the control arm")
+    return float(g1 @ h1) / (1.0 - wc) + float(g2 @ h2) / wc
 
 
 # ---------------------------------------------------------------------------

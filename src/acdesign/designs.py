@@ -7,13 +7,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import DesignError
+from .exceptions import DesignError, EstimabilityError
 from .models import ControlModel, DrugModel
 
 ARM_DRUG = 0
 ARM_CONTROL = 1
 
 WEIGHT_SUM_TOL = 1e-12
+_EPS = np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -139,89 +140,124 @@ def joint_design(doses, drug_weights, control_weight: float, merge_tol: float = 
 # information matrices
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class InfoMatrix:
-    """Symmetric PSD information matrix with its numerical rank."""
+class _Information:
+    """Block-diagonal information of (drug, control) designs, and its dual.
 
-    matrix: np.ndarray
-    rank: int
-    rank_tol: float
+    `matrix` assembles F^T diag(w) F from the doses' regression rows F, the
+    normal variance entry and the control block.  The dual trace(I(x) W) is
+    f(d)^T W11 f(d) plus the variance entry times W[m, m] at a drug dose and
+    trace(I2 W22) at the control.  The models are read once, here.
+    """
 
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
+    def __init__(self, drug: DrugModel, control: ControlModel | None = None):
+        self.drug = drug
+        self.m = drug.n_mean_params
+        self.s1 = drug.n_params
+        self.var_entry = drug.family.variance_info
+        self.ctrl_info = control.fisher() if control is not None else np.zeros((0, 0))
+        self.size = self.s1 + self.ctrl_info.shape[0]
+
+    def matrix(self, doses, wd, wc: float = 0.0, F=None) -> np.ndarray:
+        """Information of doses at weights wd and the control at wc; F: their rows."""
+        M = np.zeros((self.size, self.size))
+        if F is None:
+            F = self.drug.regression_rows(doses)
+        if len(doses):
+            M[: self.m, : self.m] = (F * np.asarray(wd)[:, None]).T @ F
+        if self.var_entry:
+            M[self.m, self.m] = self.var_entry * float(np.sum(wd))
+        if wc > 0:
+            M[self.s1 :, self.s1 :] = wc * self.ctrl_info
+        return M
+
+    def rows(self, W: np.ndarray, F: np.ndarray) -> np.ndarray:
+        """The drug-arm value at each dose whose regression row is in F."""
+        vals = np.einsum("ij,jk,ik->i", F, W[: self.m, : self.m], F)
+        if self.var_entry:
+            vals = vals + self.var_entry * W[self.m, self.m]
+        return vals
+
+    def at_dose(self, W: np.ndarray, d: float) -> float:
+        f = self.drug.regression_vector(d)
+        val = float(f @ W[: self.m, : self.m] @ f)
+        if self.var_entry:
+            val += self.var_entry * W[self.m, self.m]
+        return val
+
+    def at_control(self, W: np.ndarray) -> float:
+        return float(np.trace(self.ctrl_info @ W[self.s1 :, self.s1 :]))
 
 
-def _wrap_info(M: np.ndarray) -> InfoMatrix:
-    M = 0.5 * (M + M.T)
-    eig = np.linalg.eigvalsh(M)
-    lam_max = max(float(eig[-1]), 0.0)
-    tol = M.shape[0] * np.finfo(float).eps * max(lam_max, 1e-300)
-    rank = int(np.sum(eig > tol))
-    return InfoMatrix(M, rank, tol)
+def drug_info_matrix(induced: InducedDesign, drug: DrugModel) -> np.ndarray:
+    """M1: the induced design's information on theta_1."""
+    return _Information(drug).matrix(induced.doses, induced.weights)
 
 
-def drug_info_matrix(induced: InducedDesign, drug: DrugModel) -> InfoMatrix:
-    """M1 = sum of induced weights times per-dose information."""
-    s = drug.n_params
-    M = np.zeros((s, s))
-    for d, w in zip(induced.doses, induced.weights):
-        M += w * drug.fisher(d)
-    return _wrap_info(M)
-
-
-def info_matrix(design: Design, drug: DrugModel, control: ControlModel) -> InfoMatrix:
+def info_matrix(design: Design, drug: DrugModel, control: ControlModel) -> np.ndarray:
     """Block-diagonal joint information; cross blocks are identically zero."""
-    s1, s2 = drug.n_params, control.n_params
-    M = np.zeros((s1 + s2, s1 + s2))
-    wc = design.control_weight
-    if design.drug_doses.size:
-        ind = design.induced()
-        M[:s1, :s1] = (1.0 - wc) * drug_info_matrix(ind, drug).matrix
-    if wc > 0:
-        M[s1:, s1:] = wc * control.fisher()
-    return _wrap_info(M)
+    return _Information(drug, control).matrix(
+        design.drug_doses, design.drug_weights, design.control_weight
+    )
 
 
-def pseudo_inverse(M: InfoMatrix | np.ndarray) -> np.ndarray:
-    """Moore-Penrose inverse via symmetric eigendecomposition.
+def _spectrum(M):
+    """Ascending eigenvalues and eigenvectors of a PSD matrix, and its nullity k.
 
-    Eigenvalues below dim * eps * lambda_max are treated as exact zeros,
-    which keeps one-point designs (rank-deficient M) usable.
+    The k eigenvalues at or below dim * eps * max|lambda| are treated as
+    exact zeros, which keeps one-point designs (rank-deficient M) usable;
+    V[:, :k] spans the null space.
     """
-    A = M.matrix if isinstance(M, InfoMatrix) else np.asarray(M, float)
-    A = 0.5 * (A + A.T)
-    lam, V = np.linalg.eigh(A)
-    tol = A.shape[0] * np.finfo(float).eps * max(abs(lam[0]), abs(lam[-1]), 1e-300)
-    inv = np.where(np.abs(lam) > tol, 1.0 / np.where(np.abs(lam) > tol, lam, 1.0), 0.0)
-    out = (V * inv) @ V.T
-    return 0.5 * (out + out.T)
+    A = np.asarray(M, float)
+    lam, V = np.linalg.eigh(0.5 * (A + A.T))
+    cut = A.shape[0] * _EPS * max(abs(lam[0]), abs(lam[-1]), 1e-300)
+    return lam, V, int(lam.searchsorted(cut, "right"))
 
 
-def estimable(K: np.ndarray, M: InfoMatrix | np.ndarray, tol: float = 1e-8) -> bool:
-    """Whether every column of K lies in the range of M.
+def _in_range(null: np.ndarray, K: np.ndarray, tol: float = 1e-8) -> bool:
+    """Whether K is orthogonal to the null space with orthonormal basis `null`.
 
-    The residual (I - M M^+) K is assembled from the null-space eigenvectors
-    rather than by multiplying M with its pseudoinverse, which would inflate
-    rounding error by the condition number on near-singular matrices.
+    The residual (I - M M^+) K comes from the null-space eigenvectors; M M^+
+    would inflate rounding error by the condition number of M.
     """
-    A = M.matrix if isinstance(M, InfoMatrix) else np.asarray(M, float)
-    A = 0.5 * (A + A.T)
-    K = np.atleast_2d(np.asarray(K, float))
-    if K.shape[0] != A.shape[0]:
-        if K.shape[1] == A.shape[0]:  # accept a row vector for a single contrast
-            K = K.T
-        else:
-            raise DesignError(
-                f"contrast has {K.shape[0]} rows, information matrix is {A.shape[0]}x{A.shape[0]}"
-            )
-    lam, V = np.linalg.eigh(A)
-    cut = A.shape[0] * np.finfo(float).eps * max(abs(lam[0]), abs(lam[-1]), 1e-300)
-    null = V[:, np.abs(lam) <= cut]
     if null.shape[1] == 0:
         return True
     resid = null @ (null.T @ K)
     return float(np.max(np.abs(resid))) <= tol * (1.0 + float(np.max(np.abs(K))))
+
+
+def pseudo_inverse(M: np.ndarray) -> np.ndarray:
+    """Moore-Penrose inverse of a PSD matrix via its eigendecomposition."""
+    lam, V, k = _spectrum(M)
+    Vp = V[:, k:]
+    out = (Vp / lam[k:]) @ Vp.T
+    return 0.5 * (out + out.T)
+
+
+def estimable(K: np.ndarray, M: np.ndarray, tol: float = 1e-8) -> bool:
+    """Whether every column of K lies in the range of M."""
+    lam, V, k = _spectrum(M)
+    K = np.atleast_2d(np.asarray(K, float))
+    if K.shape[0] != lam.size:
+        if K.shape[1] == lam.size:  # accept a row vector for a single contrast
+            K = K.T
+        else:
+            raise DesignError(
+                f"contrast has {K.shape[0]} rows, information matrix is {lam.size}x{lam.size}"
+            )
+    return _in_range(V[:, :k], K, tol)
+
+
+def pinv_contrast(M: np.ndarray, K: np.ndarray, message: str) -> tuple[np.ndarray, np.ndarray]:
+    """(M^+ K, an orthonormal basis of the null space of M) from one eigh.
+
+    Raises EstimabilityError(message) when a column of K (or the vector K)
+    leaves the range of M.
+    """
+    lam, V, k = _spectrum(M)
+    if not _in_range(V[:, :k], K):
+        raise EstimabilityError(message)
+    Vp = V[:, k:]
+    return (Vp / lam[k:]) @ (Vp.T @ K), V[:, :k]
 
 
 def round_design(design: Design, n: int) -> tuple[int, ...]:

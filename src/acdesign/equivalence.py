@@ -10,6 +10,7 @@ inverse alone can fail to witness optimality of singular designs.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from typing import Optional
 
@@ -17,47 +18,18 @@ import numpy as np
 from scipy.optimize import linprog
 
 from .criteria import CriterionSpec, KMatrix, phi_p_parts, resolve_spec
-from .designs import ARM_CONTROL, ARM_DRUG, Design, info_matrix, pseudo_inverse, estimable
-from .exceptions import EstimabilityError, UnsupportedCaseError
+from .designs import ARM_CONTROL, ARM_DRUG, Design, _Information, pinv_contrast
+from .exceptions import UnsupportedCaseError
 from .models import ControlModel, DrugModel
 from .scalar_opt import golden_max
 
 
-class _Sensitivity:
-    """trace(I(x) W) over the joint design space, for any sensitivity matrix W.
+class _SensitivityEngine(_Information):
+    """The design-level factors W and threshold of the equivalence inequality.
 
-    At a drug dose it reduces to f(d)^T W11 f(d) plus, for normal
-    responses, the family's variance information times W[m, m]; at the
-    control point it is trace(I2 W22).
+    One eigendecomposition of the design's information gives G K for the
+    Moore-Penrose G, the estimability check and the null space of M.
     """
-
-    def __init__(self, drug: DrugModel, control: ControlModel):
-        self.drug = drug
-        self.m = drug.n_mean_params
-        self.s1 = drug.n_params
-        self.ctrl_info = control.fisher()
-        self.var_entry = drug.family.variance_info
-
-    def rows(self, W: np.ndarray, F: np.ndarray) -> np.ndarray:
-        """The drug-arm value at each dose whose regression row is in F."""
-        vals = np.einsum("ij,jk,ik->i", F, W[: self.m, : self.m], F)
-        if self.var_entry:
-            vals = vals + self.var_entry * W[self.m, self.m]
-        return vals
-
-    def at_dose(self, W: np.ndarray, d: float) -> float:
-        f = self.drug.regression_vector(d)
-        val = float(f @ W[: self.m, : self.m] @ f)
-        if self.var_entry:
-            val += self.var_entry * W[self.m, self.m]
-        return val
-
-    def at_control(self, W: np.ndarray) -> float:
-        return float(np.trace(self.ctrl_info @ W[self.s1 :, self.s1 :]))
-
-
-class _SensitivityEngine(_Sensitivity):
-    """The design-level factors W and threshold of the equivalence inequality."""
 
     def __init__(
         self,
@@ -70,18 +42,21 @@ class _SensitivityEngine(_Sensitivity):
     ):
         super().__init__(drug, control)
         self.design = design
-        self.control = control
         self.K = K.matrix
         self.p = p
-        self.M = info_matrix(design, drug, control)
-        if not estimable(self.K, self.M):
-            raise EstimabilityError("contrast not estimable; sensitivity undefined")
-        G = pseudo_inverse(self.M) if ginv is None else ginv
-        _, self.W, self.threshold = phi_p_parts(G @ self.K, self.K, p)
+        M = self.matrix(design.drug_doses, design.drug_weights, design.control_weight)
+        message = "contrast not estimable; sensitivity undefined"
+        self.GK, self.null = pinv_contrast(M, self.K, message)
+        self.witness(self.GK if ginv is None else ginv @ self.K)
+
+    def witness(self, GK: np.ndarray) -> "_SensitivityEngine":
+        """Take W and the threshold from G K for a generalized inverse G."""
+        _, self.W, self.threshold = phi_p_parts(GK, self.K, self.p)
         if self.W is None:
             raise UnsupportedCaseError(
                 "smallest-eigenvalue multiplicity > 1; E-optimal sensitivity undefined"
             )
+        return self
 
     def normalized(self, point: tuple[float, int]) -> float:
         dose, arm = point
@@ -161,7 +136,8 @@ def verify(
     engine = _SensitivityEngine(design, drug, control, K, p)
     strategy = "pseudoinverse"
     report = _evaluate(engine, grid_size, tol)
-    if report.max_violation > tol and engine.M.rank < engine.M.dim and K.t == 1:
+    singular = engine.null.shape[1] > 0
+    if report.max_violation > tol and singular and K.t == 1:
         # cutting-plane search over the generalized inverses: the grid
         # minimax witness can leak between grid points near a tangency, so
         # each refined violation point is added and the witness re-solved
@@ -177,7 +153,7 @@ def verify(
             if candidate.max_violation <= tol:
                 break
             extra.append(candidate.argmax_dose)
-    if report.max_violation > tol and engine.M.rank < engine.M.dim and K.t > 1:
+    if report.max_violation > tol and singular and K.t > 1:
         verdict = "inconclusive"  # some other generalized inverse could witness
     elif report.max_violation > tol:
         verdict = "not-optimal"
@@ -232,17 +208,11 @@ def _null_adjusted_engine(
     For a one-column contrast the sensitivity depends on G only through
     z = G c with M z = c, i.e. z = M^+ c + N alpha over the null space of M.
     Minimizing the maximal |f(x)^T z| over the dose grid is a linear
-    program in alpha; the optimizer is turned back into an explicit
-    generalized inverse so the standard formulas apply.
+    program in alpha.  G = M^+ + (z - M^+ c) c^T / (c^T c) is a generalized
+    inverse with G c = z, so the optimal z is the G K of the new witness.
     """
-    M = engine.M.matrix
-    lam, V = np.linalg.eigh(M)
-    tolr = engine.M.rank_tol
-    null_basis = V[:, np.abs(lam) <= tolr]
-    if null_basis.shape[1] == 0:
-        return None
-    c = engine.K[:, 0]
-    z0 = pseudo_inverse(engine.M) @ c
+    null_basis = engine.null
+    z0 = engine.GK[:, 0]
     drug = engine.drug
     L, R = drug.dose_range
     parts = [np.linspace(L, R, grid_size), engine.design.drug_doses]
@@ -261,9 +231,5 @@ def _null_adjusted_engine(
     res = linprog(cost, A_ub=A_ub, b_ub=b_ub, bounds=[(None, None)] * k + [(0, None)], method="highs")
     if res.status != 0:
         return None
-    alpha = res.x[:k]
-    z = z0 + null_basis @ alpha
-    # G' = M^+ + (z - M^+ c) c^T / (c^T c) is still a generalized inverse
-    correction = np.outer(z - z0, c) / float(c @ c)
-    G = pseudo_inverse(engine.M) + correction
-    return _SensitivityEngine(engine.design, drug, engine.control, KMatrix(engine.K), engine.p, ginv=G)
+    z = z0 + null_basis @ res.x[:k]
+    return copy.copy(engine).witness(z.reshape(-1, 1))

@@ -105,9 +105,9 @@ MeanFunction = Union[MichaelisMenten, Emax]
 class _Family:
     """A family enters the information only through its weight w(eta) on g g^T.
 
-    `info(g, eta)` is the Fisher form and `row(g, eta)` the regression row f
-    with f f^T = w g g^T (also for stacked gradients and a column of means).
-    Each keeps its own arithmetic; the two differ in the last bits.
+    `weight(eta)` is that scalar, which the control arm uses, and `row(g, eta)`
+    the regression row f with f f^T = w g g^T, from which the drug arm's
+    information is built (also for stacked gradients and a column of means).
     """
 
     variance_info = 0.0  # information on the nuisance variance (normal only)
@@ -142,11 +142,8 @@ class Normal(_Family):
     def variance_info(self) -> float:
         return 1.0 / (2.0 * self.sigma2**2)
 
-    def info(self, g, eta):
-        out = np.zeros((g.size + 1, g.size + 1))
-        out[:-1, :-1] = np.outer(g, g) / self.sigma2
-        out[-1, -1] = self.variance_info
-        return out
+    def weight(self, eta):
+        return 1.0 / self.sigma2
 
     def row(self, g, eta):
         return g / np.sqrt(self.sigma2)
@@ -168,8 +165,8 @@ class NegativeBinomial(_Family):
     def zero_limit(self) -> int:
         return self.r
 
-    def info(self, g, eta):
-        return self.r * np.outer(g, g) / (eta**2 * (1.0 - eta))
+    def weight(self, eta):
+        return self.r / (eta**2 * (1.0 - eta))
 
     def row(self, g, eta):
         return np.sqrt(self.r / (eta**2 * (1.0 - eta))) * g
@@ -195,8 +192,8 @@ class Binomial(_Family):
     zero_limit = 0
     probability = True
 
-    def info(self, g, eta):
-        return np.outer(g, g) / (eta * (1.0 - eta))
+    def weight(self, eta):
+        return 1.0 / (eta * (1.0 - eta))
 
     def row(self, g, eta):
         return g / np.sqrt(eta * (1.0 - eta))
@@ -206,8 +203,8 @@ class Binomial(_Family):
 class Poisson(_Family):
     zero_limit = 0
 
-    def info(self, g, eta):
-        return np.outer(g, g) / eta
+    def weight(self, eta):
+        return 1.0 / eta
 
     def row(self, g, eta):
         return g / np.sqrt(eta)
@@ -299,33 +296,22 @@ class DrugModel:
     # -- Fisher information ---------------------------------------------------
 
     def fisher(self, d: float) -> np.ndarray:
-        """Per-observation information for theta_1 at dose d, shape (s1, s1)."""
-        self._check_dose(d)
-        fam = self.family
-        eta = self.mean.value(d)
-        if eta == 0.0 and fam.zero_limit is not None:
-            if not fam.zero_limit:
-                return np.zeros((self.n_params, self.n_params))
-            v = self._origin_direction()
-            return fam.zero_limit * np.outer(v, v)
-        if eta >= 1.0 and fam.probability:
-            raise SingularInformationError(f"success probability {eta} at dose {d}")
-        return fam.info(self.mean.gradient(d), eta)
-
-    def _origin_direction(self) -> np.ndarray:
-        # limit of grad / eta as d -> 0 for the MM curve:
-        # grad ~ (d/ed50) * (1, -emax/ed50), eta ~ emax*d/ed50.
-        if not isinstance(self.mean, MichaelisMenten):
-            raise SingularInformationError(
-                "negative binomial needs a positive success probability"
-            )
-        return np.array([1.0 / self.mean.emax, -1.0 / self.mean.ed50])
+        """Per-observation information for theta_1 at dose d: f f^T plus the variance entry."""
+        f = self.regression_vector(d)
+        out = np.zeros((self.n_params, self.n_params))
+        out[: f.size, : f.size] = np.outer(f, f)
+        out[f.size :, f.size :] = self.family.variance_info
+        return out
 
     def _zero_mean_row(self) -> np.ndarray:
         """Regression row where the mean vanishes: the limit of the family's row."""
         if not self.family.zero_limit:
             return np.zeros(self.n_mean_params)
-        return np.sqrt(self.family.zero_limit) * self._origin_direction()
+        if not isinstance(self.mean, MichaelisMenten):
+            raise SingularInformationError("negative binomial needs a positive success probability")
+        # on the MM curve grad / eta -> (1/emax, -1/ed50) as d -> 0
+        origin = np.array([1.0 / self.mean.emax, -1.0 / self.mean.ed50])
+        return np.sqrt(self.family.zero_limit) * origin
 
     def regression_vector(self, d: float) -> np.ndarray:
         """Vector f with f f^T equal to the mean-parameter block of fisher(d)."""
@@ -333,6 +319,8 @@ class DrugModel:
         eta = self.mean.value(d)
         if eta == 0.0 and self.family.zero_limit is not None:
             return self._zero_mean_row()
+        if eta >= 1.0 and self.family.probability:
+            raise SingularInformationError(f"success probability {eta} at dose {d}")
         return self.family.row(self.mean.gradient(d), eta)
 
     def regression_rows(self, doses) -> np.ndarray:
@@ -344,6 +332,8 @@ class DrugModel:
             raise DoseRangeError(f"dose {d[outside][0]} outside range [{L}, {R}]")
         G = self.mean.gradient(d).T
         eta = self.mean.value(d)
+        if self.family.probability and (eta >= 1.0).any():
+            raise SingularInformationError(f"success probability {eta.max()} on the doses")
         zero = eta == 0.0
         if self.family.zero_limit is None or not zero.any():
             return self.family.row(G, eta[:, None])
@@ -382,9 +372,10 @@ class ControlModel:
         return 2 if isinstance(self.family, Normal) else 1
 
     def fisher(self) -> np.ndarray:
-        """Per-observation information for theta_2, shape (s2, s2)."""
-        # the control mean is mu itself, so its gradient is 1
-        return self.family.info(np.ones(1), self.mu)
+        """Per-observation information for theta_2: the family's weight at mu
+        (the mean is mu itself, with gradient 1) plus the variance entry."""
+        fam = self.family
+        return np.diag([fam.weight(self.mu), fam.variance_info][: self.n_params])
 
     def expected_response(self) -> float:
         """Expected control response on its family's comparison scale.

@@ -31,13 +31,14 @@ from .criteria import (
 from .designs import (
     Design,
     InducedDesign,
+    _Information,
     drug_info_matrix,
-    estimable,
     joint_design,
     merge_support,
+    pinv_contrast,
     pseudo_inverse,
 )
-from .equivalence import SensitivityReport, _Sensitivity, verify
+from .equivalence import SensitivityReport, verify
 from .exceptions import (
     EstimabilityError,
     InfeasibleGeometryError,
@@ -358,12 +359,10 @@ def _finish_elfving(
     tag: str,
 ) -> ElfvingSolution:
     """Attach gamma, signs and delta, enforcing the boundary representation."""
-    F = np.array([drug.regression_vector(d) for d in doses]).T  # (m, k)
-    target = np.zeros(F.shape[0])
-    target[: c.size] = c
-    gamma, signs = _representation(F, target, weights)
-    M1 = sum(w * np.outer(f, f) for f, w in zip(F.T, weights))
-    delta = float(target @ pseudo_inverse(M1) @ target)
+    F = drug.regression_rows(doses)
+    gamma, signs = _representation(F.T, c, weights)
+    M1 = _Information(drug).matrix(doses, weights, F=F)[: c.size, : c.size]
+    delta = float(c @ pseudo_inverse(M1) @ c)
     if abs(delta * gamma**2 - 1.0) > 1e-6:
         raise InfeasibleGeometryError(
             "Elfving representation inconsistent with the variance bound"
@@ -443,7 +442,7 @@ def c_opt_numeric(drug: DrugModel, c_vector: np.ndarray) -> ElfvingSolution:
     one_point = _one_point_candidate(drug, c)
     if one_point is not None:
         doses = np.unique(np.append(doses, one_point[0]))
-    z = _copt_lp(np.array([drug.regression_vector(d) for d in doses]), c)
+    z = _copt_lp(drug.regression_rows(doses), c)
     supp = np.abs(z) > 1e-10 * np.max(np.abs(z))
     sd, weights, delta = _polish_support(drug, c, doses[supp])
     if one_point is not None:
@@ -472,7 +471,7 @@ def _polish_support(drug: DrugModel, c: np.ndarray, doses):
     """Refine interior support doses by golden-section on the variance bound."""
     L, R = drug.dose_range
     doses = sorted(float(d) for d in doses)
-    F = np.array([drug.regression_vector(d) for d in doses])
+    F = drug.regression_rows(doses)
     delta, weights = _support_delta(F, c)
     # only full supports keep the representation feasible while a dose moves
     if len(doses) >= c.size and np.isfinite(delta):
@@ -569,13 +568,12 @@ def _attach_c_control(
     The control weight is 1/(1 + sqrt(c1' M1^- c1 / c2' I2^- c2)), the
     rho_{-1} split; a contrast without a control part gets none.
     """
-    den = float(c2 @ pseudo_inverse(control.fisher()) @ c2) if c2.size else 0.0
+    den = float(c2 @ pinv_contrast(control.fisher(), c2, "control part not estimable")[0])
     wc = 0.0
     if den > 0.0:
         M1 = drug_info_matrix(induced, drug)
-        if not estimable(c1.reshape(-1, 1), M1):
-            raise EstimabilityError("c-optimal solution lost estimability; please report")
-        wc = 1.0 / (1.0 + math.sqrt(float(c1 @ pseudo_inverse(M1) @ c1) / den))
+        h1, _ = pinv_contrast(M1, c1, "c-optimal solution lost estimability; please report")
+        wc = 1.0 / (1.0 + math.sqrt(float(c1 @ h1) / den))
     L, R = drug.dose_range
     return induced.as_design(wc, MERGE_FRACTION * (R - L))
 
@@ -584,7 +582,7 @@ def _attach_c_control(
 # general numeric solver
 # ---------------------------------------------------------------------------
 
-class _JointProblem(_Sensitivity):
+class _JointProblem(_Information):
     """Criterion and sensitivity plumbing over the joint design space.
 
     A state is a list of drug doses, their weights and the control weight.
@@ -596,8 +594,6 @@ class _JointProblem(_Sensitivity):
         super().__init__(drug, control)
         self.K = K.matrix
         self.p = p
-        self.dim = self.s1 + control.n_params
-        self._k_absmax = float(np.max(np.abs(self.K)))
 
     def p_eff(self) -> float:
         # the minimum-eigenvalue criterion is optimized through a smooth
@@ -606,30 +602,11 @@ class _JointProblem(_Sensitivity):
             return -50.0
         return self.p
 
-    def info(self, doses, wd, wc, F=None) -> np.ndarray:
-        M = np.zeros((self.dim, self.dim))
-        if F is None:
-            F = self.drug.regression_rows(doses)
-        if len(doses):
-            M[: self.m, : self.m] = (F * np.asarray(wd)[:, None]).T @ F
-        if self.var_entry:
-            M[self.m, self.m] = self.var_entry * float(np.sum(wd))
-        if wc > 0:
-            M[self.s1 :, self.s1 :] = wc * self.ctrl_info
-        return M
-
     def analyze(self, M: np.ndarray):
         """(criterion value, W, threshold) or None when K is inestimable."""
-        lam, V = np.linalg.eigh(0.5 * (M + M.T))
-        tol = self.dim * np.finfo(float).eps * max(float(lam[-1]), 1e-300)
-        pos = lam > tol
-        if not pos.all():
-            null = V[:, ~pos]
-            if float(np.max(np.abs(null.T @ self.K))) > 1e-8 * (1.0 + self._k_absmax):
-                return None
-        Vp = V[:, pos]
         try:
-            return phi_p_parts((Vp / lam[pos]) @ (Vp.T @ self.K), self.K, self.p_eff())
+            GK, _ = pinv_contrast(M, self.K, "contrast not estimable")
+            return phi_p_parts(GK, self.K, self.p_eff())
         except EstimabilityError:
             return None
 
@@ -706,11 +683,11 @@ def numeric_solve(
     keep = wd >= min(opts.weight_tolerance, float(wd.max()))
     merged = merge_support(zip(grid[keep], wd[keep]), 1.5 * (grid[1] - grid[0]))
     state = _normalized([d for d, _ in merged], [w for _, w in merged], wc)
-    res = problem.analyze(problem.info(*state))
+    res = problem.analyze(problem.matrix(*state))
     if res is None:
         # on a coarse grid two support doses can be neighbours
         state = _normalized(grid[keep], wd[keep], wc)
-        res = problem.analyze(problem.info(*state))
+        res = problem.analyze(problem.matrix(*state))
         if res is None:
             raise EstimabilityError("the grid weights do not estimate the contrast")
     value = res[0]
@@ -723,7 +700,7 @@ def numeric_solve(
         F = drug.regression_rows(doses)
         sweep = _weight_sweeps(problem, doses, wd, wc, F)
         polished = (doses, *sweep[:2]) if sweep is not None else (doses, wd, wc)
-        trial = problem.analyze(problem.info(*polished, F))
+        trial = problem.analyze(problem.matrix(*polished, F))
         improved = trial is not None and trial[0] > value
         if improved:
             state, res = polished, trial
@@ -782,7 +759,7 @@ def _weight_sweeps(problem: _JointProblem, doses, wd, wc, F):
     sweeps = 100 if exponent > 0.2 else int(25 / exponent)
     best = None
     for _ in range(sweeps):
-        res = problem.analyze(problem.info(doses, wd, wc, F))
+        res = problem.analyze(problem.matrix(doses, wd, wc, F))
         if res is None:
             return None
         value, W, threshold = res
@@ -801,7 +778,7 @@ def _weight_sweeps(problem: _JointProblem, doses, wd, wc, F):
         if total <= 0:
             break
         wd, wc = wd / total, wc / total
-    res = problem.analyze(problem.info(doses, wd, wc, F))
+    res = problem.analyze(problem.matrix(doses, wd, wc, F))
     if res is not None and res[0] >= best[0]:
         return wd, wc, res[0]
     return best[1], best[2], best[0]
@@ -825,7 +802,7 @@ def _polish(problem: _JointProblem, state, with_control: bool, maxiter: int):
         d, w, c = L + x[:n] * (R - L), x[n : 2 * n], x[2 * n] if with_control else 0.0
         up, down = np.minimum(d + h, R), np.maximum(d - h, L)
         F = problem.drug.regression_rows(np.concatenate([d, up, down]))
-        res = problem.analyze(problem.info(d, w, c, F[:n]))
+        res = problem.analyze(problem.matrix(d, w, c, F[:n]))
         if res is None:
             return 1e10, np.zeros_like(x)
         value, W, threshold = res

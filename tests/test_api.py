@@ -32,12 +32,16 @@ def test_benchmark_tracer_finds_every_hooked_name(monkeypatch):
     # refactor that removes one must fail here rather than in the benchmark
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
     tracer = importlib.import_module("tracing").Tracer()
-    originals = (models.DrugModel.fisher, designs.pseudo_inverse, np.linalg.eigh,
-                 criteria.phi_p_reduced, equivalence.verify, solvers.linprog)
+    def hooked():
+        return (models.DrugModel.fisher, models.DrugModel.regression_vector,
+                designs.info_matrix, designs.drug_info_matrix, designs.pseudo_inverse,
+                designs.estimable, np.linalg.eigh, np.linalg.eigvalsh,
+                criteria.phi_p_reduced, equivalence.verify, solvers.linprog)
+
+    originals = hooked()
     try:
         tracer.install()
-        assert solvers.linprog is not originals[-1]
+        assert all(now is not then for now, then in zip(hooked(), originals))
     finally:
         tracer.uninstall()
-    assert (models.DrugModel.fisher, designs.pseudo_inverse, np.linalg.eigh,
-            criteria.phi_p_reduced, equivalence.verify, solvers.linprog) == originals
+    assert hooked() == originals

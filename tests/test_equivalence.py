@@ -135,7 +135,7 @@ def test_e_optimal_sensitivity_paths():
     from acdesign.designs import info_matrix
     from acdesign.equivalence import _SensitivityEngine
 
-    M = info_matrix(deg, drug2, ctrl2).matrix
+    M = info_matrix(deg, drug2, ctrl2)
     lam = np.linalg.eigvalsh(M)
     # construct a K that equalizes the two largest eigenvalues of K^T M^- K
     V = np.linalg.eigh(M)[1]

@@ -188,21 +188,52 @@ def test_regression_rows_match_stacked_vectors(family, mean, L):
             drug.regression_rows(np.array([L, outside]))
 
 
+def _textbook_weight(family, eta):
+    """Per-observation information weight w(eta) on g g^T, from the likelihoods."""
+    if isinstance(family, Normal):
+        return 1.0 / family.sigma2
+    if isinstance(family, NegativeBinomial):
+        return family.r / (eta**2 * (1.0 - eta))
+    if isinstance(family, Binomial):
+        return 1.0 / (eta * (1.0 - eta))
+    return 1.0 / eta
+
+
+def _with_variance_entry(block, family):
+    """The mean block plus the normal family's 1/(2 sigma^4) for the variance."""
+    if not isinstance(family, Normal):
+        return block
+    out = np.zeros((block.shape[0] + 1, block.shape[0] + 1))
+    out[:-1, :-1] = block
+    out[-1, -1] = 1.0 / (2.0 * family.sigma2**2)
+    return out
+
+
 @pytest.mark.parametrize("L", [0.0, 2.5])
 @pytest.mark.parametrize("family,mean", _FAMILY_CURVES,
                          ids=[f"{type(f).__name__}-{type(m).__name__}" for f, m in _FAMILY_CURVES])
 def test_fisher_matches_regression_vector(family, mean, L):
-    # the Fisher form and the row form of a family's weight are computed
-    # separately; they agree to rounding, origin limits included
+    # fisher, the regression rows it is built from and the control's fisher
+    # all match the textbook weights above, origin limits included
     drug = DrugModel(family, mean, (L, 50.0))
     m = drug.n_mean_params
     for d in (L, 50.0, L + 1e-7, 4.9, 17.3, 49.99):
-        M = drug.fisher(d)
+        eta, g = mean.value(d), mean.gradient(d)
+        if eta == 0.0 and isinstance(family, NegativeBinomial):
+            # Michaelis-Menten at d = 0: eta^2 w(eta) -> r and g / eta -> (1/emax, -1/ed50)
+            v = np.array([1.0 / mean.emax, -1.0 / mean.ed50])
+            block = family.r * np.outer(v, v)
+        elif eta == 0.0 and isinstance(family, (Binomial, Poisson)):
+            block = np.zeros((m, m))  # w(eta) g g^T vanishes like d
+        else:
+            block = _textbook_weight(family, eta) * np.outer(g, g)
         f = drug.regression_vector(d)
-        np.testing.assert_allclose(M[:m, :m], np.outer(f, f), rtol=1e-13, atol=0.0)
-        if isinstance(family, Normal):
-            assert M[m, m] == 1.0 / (2.0 * family.sigma2**2)
-            assert not M[m, :m].any() and not M[:m, m].any()
+        np.testing.assert_allclose(np.outer(f, f), block, rtol=1e-13, atol=0.0)
+        expected = _with_variance_entry(block, family)
+        np.testing.assert_allclose(drug.fisher(d), expected, rtol=1e-13, atol=0.0)
+    mu = 0.3
+    expected = _with_variance_entry(np.array([[_textbook_weight(family, mu)]]), family)
+    np.testing.assert_allclose(ControlModel(family, mu).fisher(), expected, rtol=1e-13, atol=0.0)
 
 
 def test_family_parameters_are_read_only_in_models():
@@ -223,6 +254,17 @@ def test_negbin_emax_without_success_at_origin_is_singular():
     for call in (drug.fisher, drug.regression_vector, lambda d: drug.regression_rows([1.0, d])):
         with pytest.raises(SingularInformationError):
             call(0.0)
+
+
+def test_probability_at_one_just_past_the_range_is_singular():
+    # eta(R) = 1 - 2.2e-16 passes validation; the dose tolerance of 1e-12
+    # past R reaches eta > 1, where every information path must raise
+    # rather than return NaN
+    drug = DrugModel(Binomial(), Emax(0.5, (0.5 - 2.2e-16) * 1.1, 1.0), (0.0, 10.0))
+    assert drug.mean_value(10.0) < 1.0 <= drug.mean_value(10.0 + 1e-12)
+    for call in (drug.fisher, drug.regression_vector, lambda d: drug.regression_rows([1.0, d])):
+        with pytest.raises(SingularInformationError):
+            call(10.0 + 1e-12)
 
 
 def test_fisher_control_examples():
