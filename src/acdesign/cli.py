@@ -283,24 +283,17 @@ def write_design_csv(design: Design, path: str | Path) -> None:
 # commands
 # ---------------------------------------------------------------------------
 
-def _closed_form_method(scn: Scenario) -> Optional[str]:
-    crit = scn.criterion
-    if crit.kind == "ac":
-        return "closed-form/ac" if isinstance(scn.drug.mean, MichaelisMenten) else "numeric/ac-elfving"
-    if crit.kind == "phi_p" and crit.p == 0.0 and crit.K is None:
-        curve = "mm" if isinstance(scn.drug.mean, MichaelisMenten) else "emax"
-        return f"closed-form/{curve}-d"
-    return None
-
-
 def _solve_scenario(scn: Scenario) -> tuple[Design, str, Optional[SolveResult]]:
     """Design, method and, for a numeric solve, the solver's result."""
-    method = _closed_form_method(scn)
-    if method == "closed-form/ac" or method == "numeric/ac-elfving":
+    crit = scn.criterion
+    mm = isinstance(scn.drug.mean, MichaelisMenten)
+    if crit.kind == "ac":
+        method = "closed-form/ac" if mm else "numeric/ac-elfving"
         return ac_optimal(scn.drug, scn.control), method, None
-    if method is not None:
+    if crit.p == 0.0 and crit.K is None:
+        method = f"closed-form/{'mm' if mm else 'emax'}-d"
         return solve_d_optimal(scn.drug, scn.control), method, None
-    result = numeric_solve(scn.drug, scn.control, scn.criterion, scn.options)
+    result = numeric_solve(scn.drug, scn.control, crit, scn.options)
     return result.design, result.method, result
 
 

@@ -19,12 +19,46 @@ from scipy.optimize import linprog
 
 from .criteria import CriterionSpec, KMatrix, phi_p_parts, resolve_spec
 from .designs import ARM_CONTROL, ARM_DRUG, Design, _Information, pinv_contrast
-from .exceptions import UnsupportedCaseError
+from .exceptions import EstimabilityError, UnsupportedCaseError
 from .models import ControlModel, DrugModel
 from .scalar_opt import golden_max
 
 
-class _SensitivityEngine(_Information):
+class _Criterion(_Information):
+    """phi_p of K^T theta on the joint design space, shared with the solver.
+
+    `analyze` gives the value, the sensitivity matrix W and the threshold
+    from one eigendecomposition of M and one of K^T M^+ K.
+    """
+
+    def __init__(self, drug: DrugModel, control: ControlModel, K: KMatrix, p: float):
+        super().__init__(drug, control)
+        self.K = K.matrix
+        self.p = p
+
+    def analyze(self, M: np.ndarray):
+        """(criterion value, W, threshold) or None when K is inestimable."""
+        try:
+            GK, _ = pinv_contrast(M, self.K, "contrast not estimable")
+            return phi_p_parts(GK, self.K, self.p)
+        except EstimabilityError:
+            return None
+
+
+def grid_peak(f, doses: np.ndarray, values: np.ndarray, tol: float) -> tuple[float, float]:
+    """(dose, value) of the peak of f, whose values at the sorted doses are given.
+
+    Golden-section search between the neighbours of the grid argmax catches
+    an off-grid peak; the grid point is kept only when it is strictly higher.
+    """
+    i = int(np.argmax(values))
+    d, v = golden_max(f, doses[max(i - 1, 0)], doses[min(i + 1, doses.size - 1)], tol)
+    if values[i] > v:
+        return float(doses[i]), float(values[i])
+    return float(d), float(v)
+
+
+class _SensitivityEngine(_Criterion):
     """The design-level factors W and threshold of the equivalence inequality.
 
     One eigendecomposition of the design's information gives G K for the
@@ -40,10 +74,8 @@ class _SensitivityEngine(_Information):
         p: float,
         ginv: Optional[np.ndarray] = None,
     ):
-        super().__init__(drug, control)
+        super().__init__(drug, control, K, p)
         self.design = design
-        self.K = K.matrix
-        self.p = p
         M = self.matrix(design.drug_doses, design.drug_weights, design.control_weight)
         message = "contrast not estimable; sensitivity undefined"
         self.GK, self.null = pinv_contrast(M, self.K, message)
@@ -175,15 +207,9 @@ def _evaluate(engine: _SensitivityEngine, grid_size: int, tol: float) -> Sensiti
     values = engine.normalized_drug(doses)
     # the joint design space always contains the control point
     control_value = engine.normalized((0.0, ARM_CONTROL))
-    # refine around the grid maximum to catch an off-grid peak
-    i = int(np.argmax(values))
-    lo = doses[max(i - 1, 0)]
-    hi = doses[min(i + 1, doses.size - 1)]
-    d_ref, v_ref = golden_max(
-        lambda d: engine.normalized((d, ARM_DRUG)), lo, hi, 1e-8 * (R - L)
+    argmax_dose, max_drug = grid_peak(
+        lambda d: engine.normalized((d, ARM_DRUG)), doses, values, 1e-8 * (R - L)
     )
-    max_drug = max(float(values[i]), v_ref)
-    argmax_dose = d_ref if v_ref >= values[i] else float(doses[i])
     max_violation = max(max_drug, control_value)
     support_points = list(design.points)
     support_residuals = [abs(engine.normalized(pt)) for pt in support_points]
@@ -228,7 +254,8 @@ def _null_adjusted_engine(
     cost = np.concatenate([np.zeros(k), [1.0]])
     A_ub = np.block([[A, -np.ones((A.shape[0], 1))], [-A, -np.ones((A.shape[0], 1))]])
     b_ub = np.concatenate([-b, b])
-    res = linprog(cost, A_ub=A_ub, b_ub=b_ub, bounds=[(None, None)] * k + [(0, None)], method="highs")
+    bounds = [(None, None)] * k + [(0, None)]
+    res = linprog(cost, A_ub=A_ub, b_ub=b_ub, bounds=bounds, method="highs")
     if res.status != 0:
         return None
     z = z0 + null_basis @ res.x[:k]

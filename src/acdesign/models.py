@@ -22,8 +22,6 @@ from .exceptions import (
     SingularInformationError,
 )
 
-_VALIDATION_GRID = 1000
-
 
 # ---------------------------------------------------------------------------
 # mean curves
@@ -105,8 +103,9 @@ MeanFunction = Union[MichaelisMenten, Emax]
 class _Family:
     """A family enters the information only through its weight w(eta) on g g^T.
 
-    `weight(eta)` is that scalar, which the control arm uses, and `row(g, eta)`
-    the regression row f with f f^T = w g g^T, from which the drug arm's
+    `weight(eta)` is that scalar, the one formula each family defines.  The
+    control arm uses it directly; `row(g, eta)` derives from it the regression
+    row f = sqrt(w) g with f f^T = w g g^T, from which the drug arm's
     information is built (also for stacked gradients and a column of means).
     """
 
@@ -114,6 +113,10 @@ class _Family:
     # lim eta^2 w(eta) at a zero mean; None where w does not depend on the mean
     zero_limit = None
     probability = False  # the mean is a success probability, below 1
+
+    def row(self, g, eta):
+        """Regression row sqrt(w(eta)) g; eta broadcasts against g."""
+        return np.sqrt(self.weight(eta)) * g
 
     def response(self, mean):
         """Expected response on the comparison scale at a given mean."""
@@ -145,9 +148,6 @@ class Normal(_Family):
     def weight(self, eta):
         return 1.0 / self.sigma2
 
-    def row(self, g, eta):
-        return g / np.sqrt(self.sigma2)
-
 
 @dataclass(frozen=True)
 class NegativeBinomial(_Family):
@@ -167,9 +167,6 @@ class NegativeBinomial(_Family):
 
     def weight(self, eta):
         return self.r / (eta**2 * (1.0 - eta))
-
-    def row(self, g, eta):
-        return np.sqrt(self.r / (eta**2 * (1.0 - eta))) * g
 
     def response(self, mean):
         """Count mean r(1-p)/p at success probability p."""
@@ -195,9 +192,6 @@ class Binomial(_Family):
     def weight(self, eta):
         return 1.0 / (eta * (1.0 - eta))
 
-    def row(self, g, eta):
-        return g / np.sqrt(eta * (1.0 - eta))
-
 
 @dataclass(frozen=True)
 class Poisson(_Family):
@@ -205,9 +199,6 @@ class Poisson(_Family):
 
     def weight(self, eta):
         return 1.0 / eta
-
-    def row(self, g, eta):
-        return g / np.sqrt(eta)
 
 
 Family = Union[Normal, NegativeBinomial, Binomial, Poisson]
@@ -229,38 +220,24 @@ class DrugModel:
         L, R = self.dose_range
         if not (0 <= L < R):
             raise ModelError(f"dose range must satisfy 0 <= L < R, got [{L}, {R}]")
-        self._validate_mean_values()
-
-    def _validate_mean_values(self):
-        # Monotone curves make endpoint checks sufficient; the grid guards
-        # future non-monotone mean functions.
-        L, R = self.dose_range
-        doses = np.linspace(L, R, _VALIDATION_GRID)
-        doses = np.append(doses, [L, R])
-        vals = np.array([self.mean.value(d) for d in doses])
+        # both curves strictly increase for d >= 0, so the mean is smallest
+        # at L and largest at R
+        lo, hi = self.mean.value(L), self.mean.value(R)
         fam = self.family
         if fam.probability:
-            if vals.max() >= 1.0:
+            if hi >= 1.0:
                 raise ModelError(
                     "success probability must stay below 1 on the dose range "
-                    f"(max {vals.max():.6g}); require emax*R/(ed50+R) < 1"
+                    f"(max {hi:.6g}); require emax*R/(ed50+R) < 1"
                 )
-            if vals.min() < 0.0:
+            if lo < 0.0:
                 raise ModelError("success probability negative on the dose range")
-            interior = vals[(doses > L) & (doses < R)]
-            if interior.size and interior.min() <= 0.0:
-                raise ModelError("success probability vanishes at an interior dose")
-        elif isinstance(fam, Poisson):
-            if vals.min() < 0.0:
-                raise ModelError("Poisson rate negative on the dose range")
+        elif isinstance(fam, Poisson) and lo < 0.0:
+            raise ModelError("Poisson rate negative on the dose range")
         # a binomial probability or Poisson rate of zero at L is only
         # integrable for the Michaelis-Menten origin; for an Emax curve the
         # information there is unbounded while the row at L is zero
-        if (
-            isinstance(fam, (Binomial, Poisson))
-            and self.mean.value(L) == 0.0
-            and not isinstance(self.mean, MichaelisMenten)
-        ):
+        if isinstance(fam, (Binomial, Poisson)) and lo == 0.0 and isinstance(self.mean, Emax):
             raise ModelError(
                 f"{type(fam).__name__} with an Emax curve needs a positive mean at L (e0 > 0)"
             )

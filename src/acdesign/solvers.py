@@ -21,10 +21,10 @@ import numpy as np
 from scipy.optimize import linprog, minimize
 
 from .criteria import (
+    NEG_INF_SURROGATE,
     CriterionSpec,
     KMatrix,
     phi_p,
-    phi_p_parts,
     resolve_spec,
     rho_p,
 )
@@ -38,7 +38,7 @@ from .designs import (
     pinv_contrast,
     pseudo_inverse,
 )
-from .equivalence import SensitivityReport, verify
+from .equivalence import SensitivityReport, _Criterion, grid_peak, verify
 from .exceptions import (
     EstimabilityError,
     InfeasibleGeometryError,
@@ -377,7 +377,9 @@ def _finish_elfving(
     )
 
 
-def _representation(F: np.ndarray, c: np.ndarray, weights: list[float]) -> tuple[float, tuple[int, ...]]:
+def _representation(
+    F: np.ndarray, c: np.ndarray, weights: list[float]
+) -> tuple[float, tuple[int, ...]]:
     """Solve gamma * c = sum eps_i w_i f_i for gamma > 0 and signs."""
     k = F.shape[1]
     best = None
@@ -582,33 +584,13 @@ def _attach_c_control(
 # general numeric solver
 # ---------------------------------------------------------------------------
 
-class _JointProblem(_Information):
-    """Criterion and sensitivity plumbing over the joint design space.
-
-    A state is a list of drug doses, their weights and the control weight.
-    Everything flows through one symmetric eigendecomposition of the
-    information matrix per evaluation.
-    """
-
-    def __init__(self, drug: DrugModel, control: ControlModel, K: KMatrix, p: float):
-        super().__init__(drug, control)
-        self.K = K.matrix
-        self.p = p
-
-    def p_eff(self) -> float:
-        # the minimum-eigenvalue criterion is optimized through a smooth
-        # surrogate; verification happens at the true p
-        if math.isinf(self.p) and self.p < 0:
-            return -50.0
-        return self.p
-
-    def analyze(self, M: np.ndarray):
-        """(criterion value, W, threshold) or None when K is inestimable."""
-        try:
-            GK, _ = pinv_contrast(M, self.K, "contrast not estimable")
-            return phi_p_parts(GK, self.K, self.p_eff())
-        except EstimabilityError:
-            return None
+def _certified(design, drug, control, spec, value, iterations, method, stop_reason=None):
+    """SolveResult of a returned design, with verify's report at grid 512."""
+    report = verify(design, drug, control, spec, grid_size=512, tol=1e-5)
+    converged = report.max_violation <= 1e-5
+    return SolveResult(
+        design, value, report.max_violation, converged, iterations, method, report, stop_reason
+    )
 
 
 def _solve_rank_one(
@@ -627,16 +609,8 @@ def _solve_rank_one(
     except (EstimabilityError, InfeasibleGeometryError, UnsupportedCaseError):
         return None
     design = _attach_c_control(sol.induced(), drug, control, c1, c2)
-    report = verify(design, drug, control, spec, grid_size=512, tol=1e-5)
-    return SolveResult(
-        design=design,
-        criterion_value=phi_p(design, drug, control, K, p),
-        max_violation=report.max_violation,
-        converged=report.max_violation <= 1e-5,
-        iterations=0,
-        method="numeric/c-optimal-lp",
-        report=report,
-    )
+    value = phi_p(design, drug, control, K, p)
+    return _certified(design, drug, control, spec, value, 0, "numeric/c-optimal-lp")
 
 
 def numeric_solve(
@@ -669,7 +643,9 @@ def numeric_solve(
         delegated = _solve_rank_one(drug, control, K, p, spec)
         if delegated is not None:
             return delegated
-    problem = _JointProblem(drug, control, K, p)
+    # the minimum-eigenvalue criterion is optimized through a smooth
+    # surrogate; the returned design is verified at the true p
+    problem = _Criterion(drug, control, K, NEG_INF_SURROGATE if p == -math.inf else p)
     L, R = drug.dose_range
     grid = np.linspace(L, R, opts.grid_size)
     Fgrid = drug.regression_rows(grid)
@@ -693,7 +669,8 @@ def numeric_solve(
     value = res[0]
     start, iterations, stop_reason = state, 0, None
     while stop_reason is None:
-        (doses, wd, wc), nit = _polish(problem, start, with_control, opts.max_iterations - iterations)
+        budget = opts.max_iterations - iterations
+        (doses, wd, wc), nit = _polish(problem, start, with_control, budget)
         iterations += nit
         # SLSQP judges steps by the criterion, which resolves weights only
         # to about sqrt(eps); the sweeps take them to the 1e-9 tolerance
@@ -720,19 +697,11 @@ def numeric_solve(
             else:
                 start = _normalized(np.append(doses, d_top), np.append(wd, 0.01), wc)
     design = joint_design(*state, MERGE_FRACTION * (R - L))
-    if problem.p_eff() != p:
+    if problem.p != p:
         # the loop compared through the surrogate; report the true p
         value = phi_p(design, drug, control, K, p)
-    report = verify(design, drug, control, spec, grid_size=512, tol=1e-5)
-    return SolveResult(
-        design=design,
-        criterion_value=value,
-        max_violation=report.max_violation,
-        converged=report.max_violation <= 1e-5,
-        iterations=iterations,
-        method="numeric/grid-polish",
-        report=report,
-        stop_reason=stop_reason,
+    return _certified(
+        design, drug, control, spec, value, iterations, "numeric/grid-polish", stop_reason
     )
 
 
@@ -743,7 +712,7 @@ def _normalized(doses, wd, wc):
     return np.asarray(doses, float), wd / total, wc / total
 
 
-def _weight_sweeps(problem: _JointProblem, doses, wd, wc, F):
+def _weight_sweeps(problem: _Criterion, doses, wd, wc, F):
     """Multiplicative reweighting to the fixed point on a fixed support.
 
     Each weight is multiplied by its sensitivity ratio raised to
@@ -754,7 +723,7 @@ def _weight_sweeps(problem: _JointProblem, doses, wd, wc, F):
     otherwise the best state seen is kept, which makes the sweep safe even
     where the update is not provably monotone.
     """
-    exponent = 0.5 / (1.0 - problem.p_eff())
+    exponent = 0.5 / (1.0 - problem.p)
     # the smaller steps of strongly negative p get proportionally more sweeps
     sweeps = 100 if exponent > 0.2 else int(25 / exponent)
     best = None
@@ -784,7 +753,7 @@ def _weight_sweeps(problem: _JointProblem, doses, wd, wc, F):
     return best[1], best[2], best[0]
 
 
-def _polish(problem: _JointProblem, state, with_control: bool, maxiter: int):
+def _polish(problem: _Criterion, state, with_control: bool, maxiter: int):
     """SLSQP on -log phi over the support doses and all weights at once.
 
     Doses enter as fractions of the dose range, so that all variables share
@@ -814,10 +783,12 @@ def _polish(problem: _JointProblem, state, with_control: bool, maxiter: int):
 
     x0 = np.concatenate([(doses - L) / (R - L), wd, [wc] if with_control else []])
     total = np.concatenate([np.zeros(n), np.ones(x0.size - n)])
+    # ftol is a relative change in phi; far below the criterion's rounding
+    # (about 1e-11) last-bit noise would decide when SLSQP stops
     out = minimize(
         objective, x0, jac=True, method="SLSQP", bounds=[(0.0, 1.0)] * x0.size,
         constraints={"type": "eq", "fun": lambda x: x @ total - 1.0, "jac": lambda x: total},
-        options={"maxiter": maxiter, "ftol": 1e-16},
+        options={"maxiter": maxiter, "ftol": 1e-12},
     )
     x = np.clip(out.x, 0.0, 1.0)
     live = x[n : 2 * n] > 1e-9
@@ -825,23 +796,15 @@ def _polish(problem: _JointProblem, state, with_control: bool, maxiter: int):
     return _normalized(L + x[:n][live] * (R - L), x[n : 2 * n][live], wc), int(out.nit)
 
 
-def _worst_point(problem: _JointProblem, W, threshold, grid, Fgrid):
+def _worst_point(problem: _Criterion, W, threshold, grid, Fgrid):
     """Normalized equivalence violation and its point (None: the control).
 
-    The grid maximum is refined by golden-section search within one grid
-    spacing; the control point is compared last.
+    The grid maximum is refined by golden-section search between its
+    neighbours; the control point is compared last.
     """
     L, R = problem.drug.dose_range
-    spacing = grid[1] - grid[0]
-    grid_vals = problem.rows(W, Fgrid)
-    i = int(np.argmax(grid_vals))
-    d_best, v_best = golden_max(
-        lambda d: problem.at_dose(W, d),
-        max(L, grid[i] - spacing),
-        min(R, grid[i] + spacing),
-        1e-9 * (R - L),
+    d_best, v_best = grid_peak(
+        lambda d: problem.at_dose(W, d), grid, problem.rows(W, Fgrid), 1e-9 * (R - L)
     )
-    if grid_vals[i] > v_best:
-        d_best, v_best = float(grid[i]), float(grid_vals[i])
     v_top, d_top = max([(v_best, d_best), (problem.at_control(W), None)], key=lambda t: t[0])
     return (v_top - threshold) / abs(threshold), d_top

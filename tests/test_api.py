@@ -45,3 +45,10 @@ def test_benchmark_tracer_finds_every_hooked_name(monkeypatch):
     finally:
         tracer.uninstall()
     assert hooked() == originals
+
+
+def test_package_lines_fit_in_100_characters():
+    src = Path(acdesign.__file__).resolve().parent
+    long = [f"{path.name}:{n}" for path in sorted(src.glob("*.py"))
+            for n, line in enumerate(path.read_text().splitlines(), start=1) if len(line) > 100]
+    assert long == []

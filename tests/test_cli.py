@@ -5,7 +5,7 @@ import pytest
 
 import acdesign.cli
 import acdesign.solvers
-from acdesign import KMatrix, phi_p
+from acdesign import KMatrix, ac_efficiency, phi_p
 from acdesign.cli import main, parse_scenario, read_design_csv
 
 GOUTY_NB = """
@@ -341,3 +341,66 @@ def test_solve_verifies_each_design_once(tmp_path, monkeypatch, text, extra_args
     assert reported == {"verdict": fresh.verdict,
                         "max_violation": acdesign.cli.sig6(fresh.max_violation),
                         "ginv": fresh.ginv_strategy}
+
+
+GOUTY_NORMAL_PHI_CAPPED = """
+drug.family = normal
+drug.mean = emax
+drug.e0 = 0.26
+drug.emax = 0.73
+drug.ed50 = 10.5
+drug.sigma2 = 0.0025
+dose.min = 0
+dose.max = 300
+control.mu = 0.9206
+control.sigma2 = 0.0025
+criterion.kind = phi_p
+criterion.p = -1
+solver.grid_size = 33
+solver.max_iterations = 1
+"""
+
+
+def test_solve_exits_3_when_the_solver_does_not_converge(tmp_path):
+    # one SLSQP iteration from a 33-dose grid leaves the design uncertified
+    scn = write(tmp_path, "capped.scn", GOUTY_NORMAL_PHI_CAPPED)
+    out = tmp_path / "out"
+    assert main(["solve", scn, "--out", str(out)]) == 3
+    report = json.loads((out / "report.json").read_text())
+    assert report["converged"] is False
+    assert report["stop_reason"] == "capped" and report["iterations"] == 1
+    assert report["verification"]["verdict"] == "not-optimal"
+    assert report["solver_residual"] > 1e-5
+    assert (out / "design.csv").exists()
+
+
+def test_ac_efficiency_of_the_optimum_and_of_a_uniform_design(tmp_path, capsys):
+    scn = write(tmp_path, "ac.scn", GOUTY_NB.replace("criterion.kind = d", "criterion.kind = ac"))
+    out = tmp_path / "out"
+    assert main(["solve", scn, "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert main(["efficiency", scn, str(out / "design.csv"), "--json"]) == 0
+    assert json.loads(capsys.readouterr().out) == {"ac_efficiency": pytest.approx(1.0, abs=1e-8)}
+
+    uniform = tmp_path / "uniform.csv"
+    uniform.write_text("dose,arm,weight\n0,0,0.25\n100,0,0.25\n300,0,0.25\n0,1,0.25\n")
+    assert main(["efficiency", scn, str(uniform), "--json"]) == 0
+    value = json.loads(capsys.readouterr().out)["ac_efficiency"]
+    s = parse_scenario(scn)
+    expected = ac_efficiency(read_design_csv(uniform), read_design_csv(out / "design.csv"),
+                             s.drug, s.control)
+    assert 0.0 < value < 1.0
+    assert value == pytest.approx(acdesign.cli.sig6(expected), abs=1e-9)
+
+
+def test_reproduce_writes_both_tables_and_exits_1(tmp_path, capsys):
+    # the discrete-data cells differ from their published values by design
+    out = tmp_path / "tables"
+    assert main(["reproduce", "--out", str(out)]) == 1
+    header = "cell,computed,published,tolerance,status,note"
+    for table in ("d-table", "ac-table"):
+        lines = (out / f"{table}.csv").read_text().splitlines()
+        assert lines[0] == header and len(lines) > 1
+    printed = capsys.readouterr().out.splitlines()
+    assert any(line.startswith("[FAIL]") for line in printed)
+    assert any(line.startswith("[pass]") for line in printed)

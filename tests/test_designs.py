@@ -211,16 +211,18 @@ def test_round_design_maximizes_minimum_ratio():
     # the multiplier method maximizes min_i n_i/w_i over all allocations;
     # brute-force that characterization on small problems
     rng = np.random.default_rng(5)
+    cases = []
     for _ in range(10):
-        k = 3
-        w = rng.dirichlet(np.ones(k))
-        w = np.maximum(w, 0.05)
-        w = w / w.sum()
+        w = np.maximum(rng.dirichlet(np.ones(3)), 0.05)
+        cases.append((w / w.sum(), int(rng.integers(3, 40))))
+    # the start (3, 3, 3, 2) overshoots n, so subjects are taken away again
+    cases.append((np.array([0.26, 0.26, 0.26, 0.22]), 10))
+    for w, n in cases:
+        k = w.size
         des = Design(
             tuple((float(i + 1), ARM_DRUG) for i in range(k)),
             tuple(float(x) for x in w),
         )
-        n = int(rng.integers(k, 40))
         alloc = round_design(des, n)
         assert sum(alloc) == n
         best = max(

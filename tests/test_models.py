@@ -302,6 +302,17 @@ def test_binomial_emax_needs_positive_probability_at_origin():
     DrugModel(Binomial(), MichaelisMenten(0.6, 5.0), (0.0, 50.0))
 
 
+def test_negative_mean_at_lower_dose_rejected():
+    # e0 < 0 makes the Emax mean negative at L; a probability or a rate is not
+    for family, match in [(Binomial(), "success probability negative"),
+                          (NegativeBinomial(3), "success probability negative"),
+                          (Poisson(), "Poisson rate negative")]:
+        with pytest.raises(ModelError, match=match):
+            DrugModel(family, Emax(-0.1, 0.6, 5.0), (0.0, 50.0))
+    # the normal mean may be negative
+    DrugModel(Normal(1.0), Emax(-0.1, 0.6, 5.0), (0.0, 50.0))
+
+
 def test_bad_parameters_rejected():
     with pytest.raises(ModelError):
         MichaelisMenten(0.5, 0.0)
