@@ -168,7 +168,7 @@ def _parse_matrix(text: str) -> np.ndarray:
 def parse_scenario(path: str | Path) -> Scenario:
     try:
         text = Path(path).read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ScenarioError(f"cannot read scenario {path}: {exc}") from exc
     kv = _parse_kv(text)
 
@@ -257,6 +257,11 @@ def read_design_csv(path: str | Path) -> Design:
                     f"design file {path} needs a dose,arm,weight header"
                 )
             for row in reader:
+                # a short row leaves None values, a long one a None key
+                if None in row or None in row.values():
+                    raise ScenarioError(
+                        f"design file {path}, line {reader.line_num}: expected dose,arm,weight"
+                    )
                 pts.append((float(row["dose"]), int(row["arm"])))
                 wts.append(float(row["weight"]))
     except OSError as exc:
@@ -305,6 +310,16 @@ def _scenario_with_options(args) -> Scenario:
     return scn
 
 
+def _out_dir(path: str) -> Path:
+    """The output directory, created if missing."""
+    out = Path(path)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ScenarioError(f"cannot use output directory {path}: {exc}") from exc
+    return out
+
+
 def cmd_solve(args) -> int:
     scn = _scenario_with_options(args)
     design, method, result = _solve_scenario(scn)
@@ -314,8 +329,7 @@ def cmd_solve(args) -> int:
     stop_reason = result.stop_reason if result is not None else None
     if report is None or report.tol != args.tol:
         report = verify(design, scn.drug, scn.control, scn.criterion, tol=args.tol)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _out_dir(args.out)
     write_design_csv(design, out_dir / "design.csv")
     payload = {
         "method": method,
@@ -367,8 +381,7 @@ def cmd_verify(args) -> int:
         design, scn.drug, scn.control, scn.criterion,
         grid_size=512 if args.grid is None else args.grid, tol=args.tol,
     )
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _out_dir(args.out)
     report.to_csv(out_dir / "sensitivity.csv")
     summary = {
         "verdict": report.verdict,
@@ -408,8 +421,7 @@ def cmd_efficiency(args) -> int:
 def cmd_reproduce(args) -> int:
     from .reproduce import run_reproduction
 
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _out_dir(args.out)
     ok = run_reproduction(out_dir, print)
     return EXIT_OK if ok else 1
 

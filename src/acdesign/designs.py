@@ -53,7 +53,9 @@ class Design:
         """Build a design, merging drug doses closer than merge_tol.
 
         Numeric solvers produce near-duplicate support points; merging sums
-        their weights at the weight-averaged dose.  Weights are renormalized.
+        their weights at the weight-averaged dose.  Weights are renormalized
+        unless they sum to 1 within WEIGHT_SUM_TOL already, so a design read
+        back from the file it was written to is the same to the last bit.
         """
         drug = [(d, w) for (d, a), w in zip(points, weights) if a == ARM_DRUG and w > 0]
         wc = sum(w for (_, a), w in zip(points, weights) if a == ARM_CONTROL)
@@ -64,7 +66,9 @@ class Design:
             pts.append((0.0, ARM_CONTROL))
             wts.append(wc)
         total = sum(wts)
-        return cls(tuple(pts), tuple(w / total for w in wts))
+        if abs(total - 1.0) > WEIGHT_SUM_TOL:
+            wts = [w / total for w in wts]
+        return cls(tuple(pts), tuple(wts))
 
     # -- accessors -----------------------------------------------------------
 

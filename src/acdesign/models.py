@@ -23,6 +23,13 @@ from .exceptions import (
 )
 
 
+def _require_finite(**values) -> None:
+    """ModelError naming the first parameter that is nan or infinite."""
+    for name, value in values.items():
+        if not np.isfinite(value):
+            raise ModelError(f"{name} must be finite, got {value}")
+
+
 # ---------------------------------------------------------------------------
 # mean curves
 # ---------------------------------------------------------------------------
@@ -37,6 +44,7 @@ class MichaelisMenten:
     n_params = 2
 
     def __post_init__(self):
+        _require_finite(emax=self.emax, ed50=self.ed50)
         if not self.ed50 > 0:
             raise ModelError("ed50 must be positive")
         if not self.emax > 0:
@@ -69,6 +77,7 @@ class Emax:
     n_params = 3
 
     def __post_init__(self):
+        _require_finite(e0=self.e0, emax=self.emax, ed50=self.ed50)
         if not self.ed50 > 0:
             raise ModelError("ed50 must be positive")
         if not self.emax > 0:
@@ -138,6 +147,7 @@ class Normal(_Family):
     sigma2: float
 
     def __post_init__(self):
+        _require_finite(sigma2=self.sigma2)
         if not self.sigma2 > 0:
             raise ModelError("sigma2 must be positive")
 
@@ -218,8 +228,8 @@ class DrugModel:
 
     def __post_init__(self):
         L, R = self.dose_range
-        if not (0 <= L < R):
-            raise ModelError(f"dose range must satisfy 0 <= L < R, got [{L}, {R}]")
+        if not (0 <= L < R < np.inf):
+            raise ModelError(f"dose range must be finite with 0 <= L < R, got [{L}, {R}]")
         # both curves strictly increase for d >= 0, so the mean is smallest
         # at L and largest at R
         lo, hi = self.mean.value(L), self.mean.value(R)
@@ -335,6 +345,7 @@ class ControlModel:
     mu: float
 
     def __post_init__(self):
+        _require_finite(mu=self.mu)
         fam = self.family
         if fam.probability:
             if not 0.0 < self.mu < 1.0:

@@ -62,6 +62,8 @@ from .scalar_opt import bracketed_root, golden_max
 _log = logging.getLogger("acdesign")
 
 MERGE_FRACTION = 1e-6  # support doses closer than this fraction of R-L merge
+GAP_STOP = 1.1  # the grid sweeps stop at phi_p efficiency >= 1/GAP_STOP
+DEAD_GAP = 1e-6  # a support dose this far below the sensitivity maximum is dropped
 LP_GRID_SIZE = 401  # doses in the Elfving LP of c_opt_numeric
 
 
@@ -71,7 +73,8 @@ class SolveOptions:
 
     grid_size is the dose grid of the first weight solve and of the
     violation search, max_iterations caps the summed SLSQP iterations and
-    weight_tolerance is the least grid weight that enters the support.
+    weight_tolerance is the least grid weight of a sensitivity peak's
+    basin that starts the polish as a support dose.
     multistart_count and seed are accepted and ignored: the solver has one
     deterministic start.
     """
@@ -621,19 +624,20 @@ def numeric_solve(
 ) -> SolveResult:
     """Grid-then-polish solver for arbitrary contrasts and p.
 
-    Multiplicative weight sweeps solve the weights once on a uniform dose
-    grid, and each run of neighbouring weighted grid doses becomes one
-    support dose.  SLSQP then polishes doses and weights together; while
-    the equivalence inequality is violated, the worst point joins the
-    support and the polish runs again (Yang, Biedermann & Tang, JASA 108,
-    2013).  The returned design is certified with the equivalence theorem.
+    Multiplicative weight sweeps on a uniform dose grid run until the grid
+    design has phi_p efficiency at least 1/GAP_STOP there; each peak of
+    its sensitivity then becomes one support dose (`_peak_start`).  SLSQP
+    polishes doses and weights together; while the equivalence inequality
+    is violated, the worst point joins the support and the polish runs
+    again (Yang, Biedermann & Tang, JASA 108, 2013).  The returned design
+    is certified with the equivalence theorem.
 
     The loop stops for one of three reasons, reported as ``stop_reason``:
     ``"certified"`` when the equivalence violation falls to 1e-9,
-    ``"stalled"`` when a polish round does not raise the criterion (the
-    best state so far is kept), and ``"capped"`` once the SLSQP
-    iterations, which ``iterations`` counts, reach ``max_iterations``;
-    that is also logged as a warning on the ``acdesign`` logger.
+    ``"capped"`` once the SLSQP iterations, which ``iterations`` counts,
+    reach ``max_iterations`` (also logged as a warning on the ``acdesign``
+    logger), and ``"stalled"`` when a polish round does not raise the
+    criterion (the best state so far is kept).
     """
     K, p = resolve_spec(spec, drug, control)
     if K.t == 1:
@@ -652,32 +656,27 @@ def numeric_solve(
     # the control carries weight exactly when the contrast reaches it
     with_control = bool(np.any(K.matrix[problem.s1 :]))
     share = 1.0 / (grid.size + with_control)
-    sweep = _weight_sweeps(problem, grid, np.full(grid.size, share), share * with_control, Fgrid)
+    sweep = _weight_sweeps(
+        problem, grid, np.full(grid.size, share), share * with_control, Fgrid, GAP_STOP
+    )
     if sweep is None:
         raise EstimabilityError("the uniform grid design does not estimate the contrast")
-    wd, wc, _ = sweep
-    keep = wd >= min(opts.weight_tolerance, float(wd.max()))
-    merged = merge_support(zip(grid[keep], wd[keep]), 1.5 * (grid[1] - grid[0]))
-    state = _normalized([d for d, _ in merged], [w for _, w in merged], wc)
+    wd, wc, (_, W, _) = sweep
+    state = _peak_start(problem.rows(W, Fgrid), grid, wd, wc, opts.weight_tolerance)
     res = problem.analyze(problem.matrix(*state))
     if res is None:
-        # on a coarse grid two support doses can be neighbours
-        state = _normalized(grid[keep], wd[keep], wc)
-        res = problem.analyze(problem.matrix(*state))
+        # on a coarse grid two support doses can share one basin
+        state = _normalized(grid, wd, wc)
+        res = problem.analyze(problem.matrix(*state, Fgrid))
         if res is None:
             raise EstimabilityError("the grid weights do not estimate the contrast")
     value = res[0]
     start, iterations, stop_reason = state, 0, None
     while stop_reason is None:
         budget = opts.max_iterations - iterations
-        (doses, wd, wc), nit = _polish(problem, start, with_control, budget)
+        polished, nit = _polish(problem, start, with_control, budget)
         iterations += nit
-        # SLSQP judges steps by the criterion, which resolves weights only
-        # to about sqrt(eps); the sweeps take them to the 1e-9 tolerance
-        F = drug.regression_rows(doses)
-        sweep = _weight_sweeps(problem, doses, wd, wc, F)
-        polished = (doses, *sweep[:2]) if sweep is not None else (doses, wd, wc)
-        trial = problem.analyze(problem.matrix(*polished, F))
+        polished, trial = _reweight(problem, *polished)
         improved = trial is not None and trial[0] > value
         if improved:
             state, res = polished, trial
@@ -685,15 +684,20 @@ def numeric_solve(
         violation, d_top = _worst_point(problem, W, threshold, grid, Fgrid)
         if violation <= 1e-9:
             stop_reason = "certified"
-        elif not improved:
-            stop_reason = "stalled"
         elif iterations >= opts.max_iterations:
             stop_reason = "capped"
             _log.warning("numeric_solve ran to the %d-iteration cap", opts.max_iterations)
+        elif not improved:
+            stop_reason = "stalled"
+        elif d_top is None:
+            doses, wd, wc = state
+            start = _normalized(doses, wd, wc + 0.01)
         else:
             doses, wd, wc = state
-            if d_top is None:
-                start = _normalized(doses, wd, wc + 0.01)
+            near = np.abs(doses - d_top) <= MERGE_FRACTION * (R - L)
+            if near.any():
+                # the peak lies next to a support dose, which moves onto it
+                start = (np.where(near, d_top, doses), wd, wc)
             else:
                 start = _normalized(np.append(doses, d_top), np.append(wd, 0.01), wc)
     design = joint_design(*state, MERGE_FRACTION * (R - L))
@@ -712,16 +716,22 @@ def _normalized(doses, wd, wc):
     return np.asarray(doses, float), wd / total, wc / total
 
 
-def _weight_sweeps(problem: _Criterion, doses, wd, wc, F):
-    """Multiplicative reweighting to the fixed point on a fixed support.
+def _weight_sweeps(problem: _Criterion, doses, wd, wc, F, gap=None):
+    """Multiplicative reweighting on a fixed support.
 
-    Each weight is multiplied by its sensitivity ratio raised to
+    Each weight is multiplied by its normalized sensitivity raised to
     1/(2(1-p)).  The factor 1/(1-p) is the classical damping that keeps the
     update stable for strongly negative p; the extra 1/2 stops the
     two-state oscillation that contrasts sharing columns across the arms
-    show at p = 0.  A sweep that reaches the fixed point returns it;
-    otherwise the best state seen is kept, which makes the sweep safe even
-    where the update is not provably monotone.
+    show at p = 0.  Without `gap` the sweeps run to the fixed point, where
+    every weighted point's normalized sensitivity is 1 to within 1e-10.
+    With `gap` they stop once no dose and not the control exceeds gap: by
+    the equivalence theorem's efficiency bound (Pukelsheim, 1993) the state
+    then has phi_p efficiency at least 1/gap on these doses.  If neither
+    stop comes within the sweep cap, the best state seen is kept, which
+    makes the sweeps safe even where the update is not provably monotone.
+    Returns (wd, wc, analysis of that state), or None when the contrast is
+    not estimable.
     """
     exponent = 0.5 / (1.0 - problem.p)
     # the smaller steps of strongly negative p get proportionally more sweeps
@@ -732,15 +742,19 @@ def _weight_sweeps(problem: _Criterion, doses, wd, wc, F):
         if res is None:
             return None
         value, W, threshold = res
-        if best is None or value > best[0]:
-            best = (value, wd.copy(), wc)
+        if best is None or value > best[2][0]:
+            best = (wd.copy(), wc, res)
         rd = problem.rows(W, F) / threshold
-        rc = problem.at_control(W) / threshold if wc > 0 else 0.0
-        dev = float(np.max(np.abs(rd - 1.0))) if rd.size else 0.0
-        if wc > 0:
-            dev = max(dev, abs(rc - 1.0))
-        if dev <= 1e-10:
-            return wd, wc, value
+        rc = problem.at_control(W) / threshold
+        if gap is not None:
+            if max(float(rd.max()), rc) <= gap:
+                return wd, wc, res
+        else:
+            dev = float(np.max(np.abs(rd - 1.0))) if rd.size else 0.0
+            if wc > 0:
+                dev = max(dev, abs(rc - 1.0))
+            if dev <= 1e-10:
+                return wd, wc, res
         wd = wd * np.maximum(rd, 0.0) ** exponent
         wc = wc * max(rc, 0.0) ** exponent
         total = wd.sum() + wc
@@ -748,9 +762,60 @@ def _weight_sweeps(problem: _Criterion, doses, wd, wc, F):
             break
         wd, wc = wd / total, wc / total
     res = problem.analyze(problem.matrix(doses, wd, wc, F))
-    if res is not None and res[0] >= best[0]:
-        return wd, wc, res[0]
-    return best[1], best[2], best[0]
+    if res is not None and res[0] >= best[2][0]:
+        return wd, wc, res
+    return best
+
+
+def _peak_start(s, grid, wd, wc, weight_tolerance):
+    """One support dose per local maximum of the grid sensitivity s.
+
+    Each grid dose climbs to its higher neighbour until it reaches a local
+    maximum; the doses that reach the same one form its basin, which spans
+    the grid up to the neighbouring local minima.  A basin's grid weight
+    goes to its weight-averaged dose.  Basins lighter than weight_tolerance
+    are dropped, unless every basin is.
+    """
+    padded = np.concatenate([[-np.inf], s, [-np.inf]])
+    window = np.stack([padded[:-2], padded[1:-1], padded[2:]])
+    up = np.arange(s.size) - 1 + np.argmax(window, axis=0)
+    while True:  # pointer jumping: each pass doubles the climbed distance
+        top = up[up]
+        if np.array_equal(top, up):
+            break
+        up = top
+    _, basin = np.unique(up, return_inverse=True)
+    mass = np.bincount(basin, wd)
+    keep = mass >= min(weight_tolerance, float(mass.max()))
+    doses = np.bincount(basin, wd * grid)[keep] / mass[keep]
+    return _normalized(doses, mass[keep], wc)
+
+
+def _reweight(problem: _Criterion, doses, wd, wc):
+    """Fixed-point weights on a polished support, without its dead doses.
+
+    SLSQP judges steps by the criterion, which resolves weights only to
+    about sqrt(eps); the sweeps take them to the 1e-9 tolerance.  They
+    shrink the weight of a dose off the sensitivity maximum but never
+    remove it.  By the equivalence theorem a dose whose normalized
+    sensitivity stays more than DEAD_GAP below 1 is not an optimal support
+    point, so such doses go and the sweeps run again.  Returns the state
+    and its analysis; the analysis is None when the contrast is not
+    estimable on the support.
+    """
+    F = problem.drug.regression_rows(doses)
+    sweep = _weight_sweeps(problem, doses, wd, wc, F)
+    if sweep is None:
+        return (doses, wd, wc), problem.analyze(problem.matrix(doses, wd, wc, F))
+    wd, wc, res = sweep
+    live = problem.rows(res[1], F) / res[2] >= 1.0 - DEAD_GAP
+    if live.all() or not live.any():
+        return (doses, wd, wc), res
+    kept = _normalized(doses[live], wd[live], wc)
+    again = _weight_sweeps(problem, *kept, F[live])
+    if again is None:
+        return (doses, wd, wc), res
+    return (kept[0], *again[:2]), again[2]
 
 
 def _polish(problem: _Criterion, state, with_control: bool, maxiter: int):
@@ -760,7 +825,8 @@ def _polish(problem: _Criterion, state, with_control: bool, maxiter: int):
     the unit scale.  Both gradient parts come from one analysis: a weight's
     is its sensitivity, a dose's its weight times the central difference of
     the sensitivity there, each divided by the threshold.  Returns the
-    polished state, without weights of 1e-9 or less, and the iterations.
+    polished state, without weights of 1e-9 or less and with doses closer
+    than MERGE_FRACTION of the range merged, and the iterations.
     """
     L, R = problem.drug.dose_range
     doses, wd, wc = state
@@ -793,7 +859,11 @@ def _polish(problem: _Criterion, state, with_control: bool, maxiter: int):
     x = np.clip(out.x, 0.0, 1.0)
     live = x[n : 2 * n] > 1e-9
     wc = x[2 * n] if with_control and x[2 * n] > 1e-9 else 0.0
-    return _normalized(L + x[:n][live] * (R - L), x[n : 2 * n][live], wc), int(out.nit)
+    # doses that met slow the sweeps down: nearly equal sensitivities leave
+    # their shares of the weight all but undetermined
+    pairs = zip(L + x[:n][live] * (R - L), x[n : 2 * n][live])
+    merged = np.array(merge_support(pairs, MERGE_FRACTION * (R - L))).reshape(-1, 2)
+    return _normalized(merged[:, 0], merged[:, 1], wc), int(out.nit)
 
 
 def _worst_point(problem: _Criterion, W, threshold, grid, Fgrid):

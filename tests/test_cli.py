@@ -201,6 +201,53 @@ def test_malformed_design_file_rejected(tmp_path):
     assert main(["verify", scn, str(design)]) == 2
 
 
+def _one_line_error(capsys) -> bool:
+    err = capsys.readouterr().err
+    return err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("rows", ["1,0", "0,0,0.25\n25,0,0.25\n300,0,0.25,7\n0,1,0.25"],
+                         ids=["short", "long"])
+def test_design_row_of_the_wrong_length_rejected(tmp_path, capsys, rows):
+    scn = write(tmp_path, "gouty.scn", GOUTY_NB)
+    design = tmp_path / "design.csv"
+    design.write_text(f"dose,arm,weight\n{rows}\n")
+    assert main(["verify", scn, str(design), "--out", str(tmp_path)]) == 2
+    assert _one_line_error(capsys)
+
+
+@pytest.mark.parametrize("old,new", [
+    ("control.mu = 0.9206", "control.mu = nan"),
+    ("dose.max = 300", "dose.max = inf"),
+], ids=["control-mu-nan", "dose-max-inf"])
+def test_non_finite_scenario_value_rejected(tmp_path, capsys, old, new):
+    # a normal control, whose mean may be any real number
+    normal = GOUTY_NORMAL_POISSON_CONTROL.replace("family = poisson", "sigma2 = 0.0025")
+    scn = write(tmp_path, "bad.scn", normal.replace(old, new))
+    assert main(["solve", scn, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "finite" in err and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
+def test_scenario_that_is_not_utf8_rejected(tmp_path, capsys):
+    scn = tmp_path / "utf16.scn"
+    scn.write_bytes(b"\xff\xfe" + GOUTY_NB.encode())
+    assert main(["solve", str(scn), "--out", str(tmp_path / "out")]) == 2
+    assert _one_line_error(capsys)
+
+
+def test_out_naming_a_regular_file_rejected(tmp_path, capsys):
+    scn = write(tmp_path, "gouty.scn", GOUTY_NB)
+    taken = write(tmp_path, "taken", "")
+    assert main(["solve", scn, "--out", taken]) == 2
+    assert _one_line_error(capsys)
+    design = tmp_path / "design.csv"
+    design.write_text("dose,arm,weight\n0,0,0.25\n25,0,0.25\n300,0,0.25\n0,1,0.25\n")
+    assert main(["verify", scn, str(design), "--out", taken]) == 2
+    assert _one_line_error(capsys)
+
+
 def test_duplicate_key_rejected(tmp_path):
     scn = write(tmp_path, "dup.scn", GOUTY_NB + "control.mu = 0.5\n")
     assert main(["solve", scn]) == 2

@@ -324,6 +324,27 @@ def test_bad_parameters_rejected():
         DrugModel(Normal(1.0), MichaelisMenten(0.5, 2.0), (5.0, 5.0))
 
 
+_NAN, _INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("build", [
+    lambda: ControlModel(Normal(1.0), _NAN),
+    lambda: ControlModel(Normal(1.0), _INF),
+    lambda: ControlModel(Poisson(), _INF),
+    lambda: Normal(_INF),
+    lambda: Emax(_NAN, 0.5, 10.0),
+    lambda: Emax(0.1, _INF, 10.0),
+    lambda: Emax(0.1, 0.5, _INF),
+    lambda: MichaelisMenten(_NAN, 2.0),
+    lambda: DrugModel(Normal(1.0), Emax(0.1, 0.5, 10.0), (0.0, _INF)),
+    lambda: DrugModel(Normal(1.0), Emax(0.1, 0.5, 10.0), (_NAN, 10.0)),
+], ids=["control-mu-nan", "control-mu-inf", "poisson-mu-inf", "sigma2-inf", "e0-nan",
+        "emax-inf", "ed50-inf", "mm-emax-nan", "dose-max-inf", "dose-min-nan"])
+def test_non_finite_parameters_rejected(build):
+    with pytest.raises(ModelError, match="finite"):
+        build()
+
+
 # ---------------------------------------------------------------------------
 # target dose
 # ---------------------------------------------------------------------------
