@@ -2,8 +2,8 @@
 
 Scenario files are flat key = value text with dotted sections; designs
 travel as dose,arm,weight CSV; reports are JSON.  Exit status is 0 on
-success, 2 for validation problems and 3 when a numeric solve does not
-converge.
+success, 2 for validation problems, 3 when a numeric solve does not
+converge and 141 when the reader of stdout closes it early.
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ import argparse
 import csv
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -52,6 +53,7 @@ from .solvers import (
 EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_NO_CONVERGENCE = 3
+EXIT_BROKEN_PIPE = 141  # as a process killed by SIGPIPE, 128 + 13
 
 
 def sig6(x: float) -> float:
@@ -458,13 +460,17 @@ def main(argv: Optional[list[str]] = None) -> int:
 
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
-    except ScenarioError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+        status = args.func(args)
+        sys.stdout.flush()  # a reader that went away shows here, not at exit
+        return status
     except AcdesignError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
+    except BrokenPipeError:
+        # stdout's reader closed it (`acdesign reproduce | head`); what is
+        # still buffered goes to devnull so that the exit flush stays quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
 
 
 if __name__ == "__main__":

@@ -110,26 +110,29 @@ class CriterionSpec:
 # phi_p evaluation
 # ---------------------------------------------------------------------------
 
-def phi_p_parts(
-    GK: np.ndarray, K: np.ndarray, p: float
-) -> tuple[float, Optional[np.ndarray], float]:
-    """phi_p value, sensitivity matrix W and threshold from GK = G K.
+def phi_p_parts(GK: np.ndarray, K: np.ndarray, p: float, eig=None) -> tuple:
+    """phi_p value, sensitivity matrix W, threshold and B's eigenpairs from GK = G K.
 
     G is a generalized inverse of the information matrix and B = K^T G K
-    the contrast information; one eigendecomposition of B gives all three.
+    the contrast information; one eigendecomposition of B gives all three,
+    and its ascending eigenvalues and eigenvectors come last.  A caller
+    that knows them passes them as `eig`.
     W and the threshold share the factor lam_max^(1+p) (lam_max^2 at
     p = -inf), which keeps them finite for strongly negative p and cancels
     in the normalized sensitivity.  At p = -inf, W is None when the largest
     eigenvalue of B is repeated, since the E-optimal W is then not unique.
     """
-    B = K.T @ GK
-    lam, V = np.linalg.eigh(0.5 * (B + B.T))
+    if eig is None:
+        B = K.T @ GK
+        eig = np.linalg.eigh(0.5 * (B + B.T))
+    lam, V = eig
     if lam[0] <= 0:
         raise EstimabilityError("contrast information is singular")
     if p == -math.inf:
         u = GK @ V[:, -1]
         repeated = lam.size > 1 and (lam[-1] - lam[-2]) <= 1e-8 * max(lam[-1], 1.0)
-        return float(1.0 / lam[-1]), None if repeated else np.outer(u, u), float(lam[-1])
+        W = None if repeated else np.outer(u, u)
+        return float(1.0 / lam[-1]), W, float(lam[-1]), lam, V
     if p == 0.0:
         value = float(np.exp(-np.mean(np.log(lam))))
     else:
@@ -137,7 +140,7 @@ def phi_p_parts(
         value = float(np.exp((log_mean - p * np.log(lam[-1])) / p))
     ratio = lam / lam[-1]
     W = GK @ ((V * ratio ** (-p - 1.0)) @ V.T) @ GK.T
-    return value, W, float(lam[-1] * np.sum(ratio ** (-p)))
+    return value, W, float(lam[-1] * np.sum(ratio ** (-p))), lam, V
 
 
 def phi_p_from_info(M: np.ndarray, K: np.ndarray, p: float) -> float:

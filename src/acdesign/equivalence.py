@@ -18,7 +18,9 @@ import numpy as np
 from scipy.optimize import linprog
 
 from .criteria import CriterionSpec, KMatrix, phi_p_parts, resolve_spec
-from .designs import ARM_CONTROL, ARM_DRUG, Design, _Information, pinv_contrast
+from .designs import (
+    ARM_CONTROL, ARM_DRUG, Design, _in_range, _Information, _spectrum, pinv_contrast,
+)
 from .exceptions import EstimabilityError, UnsupportedCaseError
 from .models import ControlModel, DrugModel
 from .scalar_opt import golden_max
@@ -27,20 +29,27 @@ from .scalar_opt import golden_max
 class _Criterion(_Information):
     """phi_p of K^T theta on the joint design space, shared with the solver.
 
-    `analyze` gives the value, the sensitivity matrix W and the threshold
-    from one eigendecomposition of M and one of K^T M^+ K.
+    `analyze` gives the value, the sensitivity matrix W, the threshold, the
+    eigenpairs of B = K^T G K and G = M^+ from one eigendecomposition of M
+    and one of B.
     """
 
     def __init__(self, drug: DrugModel, control: ControlModel, K: KMatrix, p: float):
         super().__init__(drug, control)
         self.K = K.matrix
         self.p = p
+        self.identity = np.array_equal(self.K, np.eye(self.size))
 
     def analyze(self, M: np.ndarray):
-        """(criterion value, W, threshold) or None when K is inestimable."""
+        """(value, W, threshold, lam, V, G) or None when K is inestimable."""
+        lam, V, k = _spectrum(M)
+        if not _in_range(V[:, :k], self.K):
+            return None
+        G = (V[:, k:] / lam[k:]) @ V[:, k:].T
+        # for K = I, B = G has M's eigenvectors and inverted eigenvalues
+        eig = (1.0 / lam[::-1], V[:, ::-1]) if self.identity else None
         try:
-            GK, _ = pinv_contrast(M, self.K, "contrast not estimable")
-            return phi_p_parts(GK, self.K, self.p)
+            return (*phi_p_parts(G @ self.K, self.K, self.p, eig), G)
         except EstimabilityError:
             return None
 
@@ -83,7 +92,7 @@ class _SensitivityEngine(_Criterion):
 
     def witness(self, GK: np.ndarray) -> "_SensitivityEngine":
         """Take W and the threshold from G K for a generalized inverse G."""
-        _, self.W, self.threshold = phi_p_parts(GK, self.K, self.p)
+        _, self.W, self.threshold, *_ = phi_p_parts(GK, self.K, self.p)
         if self.W is None:
             raise UnsupportedCaseError(
                 "smallest-eigenvalue multiplicity > 1; E-optimal sensitivity undefined"
@@ -250,7 +259,7 @@ def _null_adjusted_engine(
     b = F @ z0[:m]
     A = F @ null_basis[:m]
     k = null_basis.shape[1]
-    # minimize tau subject to -tau <= b + A alpha <= tau
+    # the least tau with -tau <= b + A alpha <= tau
     cost = np.concatenate([np.zeros(k), [1.0]])
     A_ub = np.block([[A, -np.ones((A.shape[0], 1))], [-A, -np.ones((A.shape[0], 1))]])
     b_ub = np.concatenate([-b, b])

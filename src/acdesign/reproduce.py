@@ -239,7 +239,7 @@ def build_cells() -> list[Cell]:
 
     note_bi = "published design cannot estimate the target dose; see README"
     acb = ac_optimal(bi_drug, bi_ctrl)
-    # the psi minimizer is a one-point design; both published doses pair with it
+    # the design of least psi has one dose; both published doses pair with it
     spec_bi = [("dose0", 0.0, 0.05), ("dose1", 200.0, 0.05),
                ("weight0", 0.0734, 0.005), ("weight1", 0.4195, 0.005),
                ("control", 0.5071, 0.005)]

@@ -4,7 +4,7 @@ Closed forms cover the D-optimal designs for both mean curves under all four
 families and the Elfving-geometry c-optimal designs for the Michaelis-Menten
 curve.  General c-optimal problems take one Elfving LP, then closed-form
 support weights.  Arbitrary contrasts and p take one weight solve on a
-dose grid, then an SLSQP polish of doses and weights together.
+dose grid, then Newton steps on doses and weights together.
 Joint designs are assembled from drug-only solutions by the allocation rule
 w_control = 1/(1+rho_p).  The information matrix is block diagonal, so this
 holds for any pairing of drug and control families.
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import linprog, minimize
+from scipy.optimize import linprog
 
 from .criteria import (
     NEG_INF_SURROGATE,
@@ -62,8 +62,14 @@ from .scalar_opt import bracketed_root, golden_max
 _log = logging.getLogger("acdesign")
 
 MERGE_FRACTION = 1e-6  # support doses closer than this fraction of R-L merge
-GAP_STOP = 1.1  # the grid sweeps stop at phi_p efficiency >= 1/GAP_STOP
-DEAD_GAP = 1e-6  # a support dose this far below the sensitivity maximum is dropped
+GAP_STOP = 1.3  # the grid sweeps stop at phi_p efficiency >= 1/GAP_STOP
+FALLBACK_DOSES = 16  # start doses when the sensitivity peaks do not estimate
+ROUNDING = 1e-10  # relative margin above the ~1e-11 rounding of criterion values
+STATIONARY = 1e-11  # weight gradient residual at which the Newton polish stops
+SLOPE_STATIONARY = 1e-7  # the same for the sensitivity slope at a support dose
+# Newton steps in one polish round; a round that needs more is stuck on a
+# support that the worst point of the equivalence check can change
+ROUND_STEPS = 50
 LP_GRID_SIZE = 401  # doses in the Elfving LP of c_opt_numeric
 
 
@@ -72,9 +78,9 @@ class SolveOptions:
     """Settings of numeric_solve.
 
     grid_size is the dose grid of the first weight solve and of the
-    violation search, max_iterations caps the summed SLSQP iterations and
-    weight_tolerance is the least grid weight of a sensitivity peak's
-    basin that starts the polish as a support dose.
+    violation search, max_iterations caps the Newton steps of all polish
+    rounds and weight_tolerance is the least grid weight of a sensitivity
+    peak's basin that starts the polish as a support dose.
     multistart_count and seed are accepted and ignored: the solver has one
     deterministic start.
     """
@@ -434,7 +440,7 @@ def c_opt_numeric(drug: DrugModel, c_vector: np.ndarray) -> ElfvingSolution:
     The LP runs once on a fixed dose grid, with the one-point dose d* added
     when the contrast lies on a gradient ray.  Its basic solution has at
     most n_mean_params support points (Elfving 1952); golden-section moves
-    of the interior doses then minimize the variance bound, with the
+    of the interior doses then lower the variance bound, with the
     optimal weights on each trial support in closed form.  The one-point
     design at d* is preferred whenever it attains the bound, since the LP
     can return an equivalent spread representation of a flat boundary face.
@@ -622,22 +628,23 @@ def numeric_solve(
     spec: CriterionSpec,
     opts: SolveOptions = SolveOptions(),
 ) -> SolveResult:
-    """Grid-then-polish solver for arbitrary contrasts and p.
+    """Grid-then-Newton solver for arbitrary contrasts and p.
 
     Multiplicative weight sweeps on a uniform dose grid run until the grid
     design has phi_p efficiency at least 1/GAP_STOP there; each peak of
-    its sensitivity then becomes one support dose (`_peak_start`).  SLSQP
-    polishes doses and weights together; while the equivalence inequality
-    is violated, the worst point joins the support and the polish runs
-    again (Yang, Biedermann & Tang, JASA 108, 2013).  The returned design
-    is certified with the equivalence theorem.
+    its sensitivity then becomes one support dose (`_peak_start`).  Newton
+    steps on log phi_p polish doses and weights together (`_polish`), at
+    most ROUND_STEPS in a round; while the equivalence inequality is
+    violated, the worst point joins the support and the polish runs again
+    (Yang, Biedermann & Tang, JASA 108, 2013).  The returned design is
+    certified with the equivalence theorem.
 
     The loop stops for one of three reasons, reported as ``stop_reason``:
     ``"certified"`` when the equivalence violation falls to 1e-9,
-    ``"capped"`` once the SLSQP iterations, which ``iterations`` counts,
-    reach ``max_iterations`` (also logged as a warning on the ``acdesign``
-    logger), and ``"stalled"`` when a polish round does not raise the
-    criterion (the best state so far is kept).
+    ``"capped"`` once the Newton steps, which ``iterations`` counts, reach
+    ``max_iterations`` (also logged as a warning on the ``acdesign``
+    logger), and ``"stalled"`` when a polish round raises the criterion by
+    no more than its rounding (the best state so far is kept).
     """
     K, p = resolve_spec(spec, drug, control)
     if K.t == 1:
@@ -661,27 +668,29 @@ def numeric_solve(
     )
     if sweep is None:
         raise EstimabilityError("the uniform grid design does not estimate the contrast")
-    wd, wc, (_, W, _) = sweep
+    wd, wc, (_, W, *_) = sweep
     state = _peak_start(problem.rows(W, Fgrid), grid, wd, wc, opts.weight_tolerance)
     res = problem.analyze(problem.matrix(*state))
     if res is None:
-        # on a coarse grid two support doses can share one basin
-        state = _normalized(grid, wd, wc)
-        res = problem.analyze(problem.matrix(*state, Fgrid))
+        # on a coarse grid, or where the sweeps stop at once (p > 0), two
+        # support doses can share one basin; then each of FALLBACK_DOSES
+        # equal runs of grid doses starts as one dose
+        runs = np.arange(grid.size) * min(FALLBACK_DOSES, grid.size) // grid.size
+        mass = np.bincount(runs, wd)
+        state = _normalized(np.bincount(runs, wd * grid) / mass, mass, wc)
+        res = problem.analyze(problem.matrix(*state))
         if res is None:
             raise EstimabilityError("the grid weights do not estimate the contrast")
-    value = res[0]
-    start, iterations, stop_reason = state, 0, None
+    best, iterations, stop_reason = (state, res), 0, None
     while stop_reason is None:
-        budget = opts.max_iterations - iterations
-        polished, nit = _polish(problem, start, with_control, budget)
-        iterations += nit
-        polished, trial = _reweight(problem, *polished)
-        improved = trial is not None and trial[0] > value
-        if improved:
-            state, res = polished, trial
-        value, W, threshold = res
-        violation, d_top = _worst_point(problem, W, threshold, grid, Fgrid)
+        state, res, steps = _polish(
+            problem, state, res, with_control, min(ROUND_STEPS, opts.max_iterations - iterations)
+        )
+        iterations += steps
+        violation, d_top = _worst_point(problem, *res[1:3], grid, Fgrid)
+        improved = res[0] > best[1][0] * (1.0 + ROUNDING)
+        if res[0] >= best[1][0] * (1.0 - ROUNDING) or violation <= 1e-9:
+            best = (state, res)
         if violation <= 1e-9:
             stop_reason = "certified"
         elif iterations >= opts.max_iterations:
@@ -689,18 +698,18 @@ def numeric_solve(
             _log.warning("numeric_solve ran to the %d-iteration cap", opts.max_iterations)
         elif not improved:
             stop_reason = "stalled"
-        elif d_top is None:
-            doses, wd, wc = state
-            start = _normalized(doses, wd, wc + 0.01)
         else:
             doses, wd, wc = state
-            near = np.abs(doses - d_top) <= MERGE_FRACTION * (R - L)
-            if near.any():
-                # the peak lies next to a support dose, which moves onto it
-                start = (np.where(near, d_top, doses), wd, wc)
+            if d_top is None:
+                state = _normalized(doses, wd, wc + 0.01)
             else:
-                start = _normalized(np.append(doses, d_top), np.append(wd, 0.01), wc)
+                state = _normalized(np.append(doses, d_top), np.append(wd, 0.01), wc)
+            res = problem.analyze(problem.matrix(*state))
+            if res is None:  # the information lost rank to rounding
+                stop_reason = "stalled"
+    state, res = best
     design = joint_design(*state, MERGE_FRACTION * (R - L))
+    value = res[0]
     if problem.p != p:
         # the loop compared through the surrogate; report the true p
         value = phi_p(design, drug, control, K, p)
@@ -716,55 +725,37 @@ def _normalized(doses, wd, wc):
     return np.asarray(doses, float), wd / total, wc / total
 
 
-def _weight_sweeps(problem: _Criterion, doses, wd, wc, F, gap=None):
-    """Multiplicative reweighting on a fixed support.
+def _weight_sweeps(problem: _Criterion, doses, wd, wc, F, gap):
+    """Multiplicative reweighting on a fixed support until no point exceeds gap.
 
     Each weight is multiplied by its normalized sensitivity raised to
     1/(2(1-p)).  The factor 1/(1-p) is the classical damping that keeps the
     update stable for strongly negative p; the extra 1/2 stops the
     two-state oscillation that contrasts sharing columns across the arms
-    show at p = 0.  Without `gap` the sweeps run to the fixed point, where
-    every weighted point's normalized sensitivity is 1 to within 1e-10.
-    With `gap` they stop once no dose and not the control exceeds gap: by
-    the equivalence theorem's efficiency bound (Pukelsheim, 1993) the state
-    then has phi_p efficiency at least 1/gap on these doses.  If neither
-    stop comes within the sweep cap, the best state seen is kept, which
-    makes the sweeps safe even where the update is not provably monotone.
-    Returns (wd, wc, analysis of that state), or None when the contrast is
-    not estimable.
+    show at p = 0.  The sweeps stop once no dose and not the control has a
+    normalized sensitivity above gap: by the equivalence theorem's
+    efficiency bound (Pukelsheim, 1993) the state then has phi_p efficiency
+    at least 1/gap on these doses.  At the sweep cap the last state is
+    kept; the polish and its certificate decide from there.  Returns (wd,
+    wc, analysis of that state), or None when the contrast is not
+    estimable.
     """
     exponent = 0.5 / (1.0 - problem.p)
     # the smaller steps of strongly negative p get proportionally more sweeps
     sweeps = 100 if exponent > 0.2 else int(25 / exponent)
-    best = None
-    for _ in range(sweeps):
+    for sweep in range(sweeps + 1):
         res = problem.analyze(problem.matrix(doses, wd, wc, F))
         if res is None:
             return None
-        value, W, threshold = res
-        if best is None or value > best[2][0]:
-            best = (wd.copy(), wc, res)
+        _, W, threshold = res[:3]
         rd = problem.rows(W, F) / threshold
         rc = problem.at_control(W) / threshold
-        if gap is not None:
-            if max(float(rd.max()), rc) <= gap:
-                return wd, wc, res
-        else:
-            dev = float(np.max(np.abs(rd - 1.0))) if rd.size else 0.0
-            if wc > 0:
-                dev = max(dev, abs(rc - 1.0))
-            if dev <= 1e-10:
-                return wd, wc, res
+        if max(float(rd.max()), rc) <= gap or sweep == sweeps:
+            return wd, wc, res
         wd = wd * np.maximum(rd, 0.0) ** exponent
         wc = wc * max(rc, 0.0) ** exponent
         total = wd.sum() + wc
-        if total <= 0:
-            break
         wd, wc = wd / total, wc / total
-    res = problem.analyze(problem.matrix(doses, wd, wc, F))
-    if res is not None and res[0] >= best[2][0]:
-        return wd, wc, res
-    return best
 
 
 def _peak_start(s, grid, wd, wc, weight_tolerance):
@@ -791,79 +782,157 @@ def _peak_start(s, grid, wd, wc, weight_tolerance):
     return _normalized(doses, mass[keep], wc)
 
 
-def _reweight(problem: _Criterion, doses, wd, wc):
-    """Fixed-point weights on a polished support, without its dead doses.
+def _polish(problem: _Criterion, state, res, with_control: bool, budget: int):
+    """Newton steps on log phi_p over the support doses and all weights.
 
-    SLSQP judges steps by the criterion, which resolves weights only to
-    about sqrt(eps); the sweeps take them to the 1e-9 tolerance.  They
-    shrink the weight of a dose off the sensitivity maximum but never
-    remove it.  By the equivalence theorem a dose whose normalized
-    sensitivity stays more than DEAD_GAP below 1 is not an optimal support
-    point, so such doses go and the sweeps run again.  Returns the state
-    and its analysis; the analysis is None when the contrast is not
-    estimable on the support.
-    """
-    F = problem.drug.regression_rows(doses)
-    sweep = _weight_sweeps(problem, doses, wd, wc, F)
-    if sweep is None:
-        return (doses, wd, wc), problem.analyze(problem.matrix(doses, wd, wc, F))
-    wd, wc, res = sweep
-    live = problem.rows(res[1], F) / res[2] >= 1.0 - DEAD_GAP
-    if live.all() or not live.any():
-        return (doses, wd, wc), res
-    kept = _normalized(doses[live], wd[live], wc)
-    again = _weight_sweeps(problem, *kept, F[live])
-    if again is None:
-        return (doses, wd, wc), res
-    return (kept[0], *again[:2]), again[2]
-
-
-def _polish(problem: _Criterion, state, with_control: bool, maxiter: int):
-    """SLSQP on -log phi over the support doses and all weights at once.
-
-    Doses enter as fractions of the dose range, so that all variables share
-    the unit scale.  Both gradient parts come from one analysis: a weight's
-    is its sensitivity, a dose's its weight times the central difference of
-    the sensitivity there, each divided by the threshold.  Returns the
-    polished state, without weights of 1e-9 or less and with doses closer
-    than MERGE_FRACTION of the range merged, and the iterations.
+    Each step takes one analysis; a step that lowers the criterion by more
+    than its rounding is halved until it does not.  The polish ends when
+    the state is stationary (`_newton_step`), when no halving helps or when
+    the budget of steps is spent.  Returns the state, its analysis and the
+    steps taken.
     """
     L, R = problem.drug.dose_range
-    doses, wd, wc = state
-    n = doses.size
+    steps = 0
+    while steps < budget:
+        doses, wd, wc = state
+        n = doses.size
+        x = np.concatenate([(doses - L) / (R - L), wd, [wc]])
+        delta = _newton_step(*_derivatives(problem, doses, wd, wc, res), x, with_control)
+        if delta is None:
+            return state, res, steps
+        for _ in range(40):
+            y = x + delta
+            live = y[n : 2 * n] > 0  # a weight that reached 0 leaves with its dose
+            # doses that meet, at a range end or a shared peak, merge
+            pairs = zip(L + np.clip(y[:n], 0.0, 1.0)[live] * (R - L), y[n : 2 * n][live])
+            merged = np.array(merge_support(pairs, MERGE_FRACTION * (R - L))).reshape(-1, 2)
+            trial_state = _normalized(merged[:, 0], merged[:, 1], max(y[-1], 0.0))
+            trial = problem.analyze(problem.matrix(*trial_state))
+            if trial is not None and trial[0] >= res[0] * (1.0 - ROUNDING):
+                break
+            delta = 0.5 * delta
+        else:
+            return state, res, steps
+        state, res, steps = trial_state, trial, steps + 1
+    return state, res, steps
+
+
+def _derivatives(problem: _Criterion, doses, wd, wc, res):
+    """Gradient and Hessian of log phi_p in (dose fractions, drug weights, wc).
+
+    Each variable a moves the information in a direction E_a.  The gradient
+    is g_a = tr(E_a W)/threshold, and the Hessian entry of a and b is
+
+        (-2 tr(E_a G E_b W) - sum_jk D_jk X^a_jk X^b_jk)/threshold - p g_a g_b
+
+    with X^a = U^T E_a U for U = G K V on the eigenpairs (lam, V) of
+    B = K^T G K and D the divided differences of (lam/lam_max)^(-p-1)
+    (Daleckii-Krein).  A dose also moves its own direction, which adds the
+    sensitivity's slope and curvature there.  Derivatives in the dose are
+    central differences.
+    """
+    _, W, threshold, lam, V, G = res
+    drug, m, n = problem.drug, problem.m, doses.size
+    L, R = drug.dose_range
     h = 1e-6 * (R - L)
+    c = np.clip(doses, L + h, R - h)
+    F = drug.regression_rows(np.concatenate([doses, c - h, c, c + h]))
+    f, f1 = F[:n], (F[3 * n :] - F[n : 2 * n]) * ((R - L) / (2 * h))
+    s = problem.rows(W, F[n:]).reshape(3, n) / threshold  # at c - h, c and c + h
+    E = np.zeros((2 * n + 1, problem.size, problem.size))
+    E[:n, :m, :m] = wd[:, None, None] * f1[:, :, None] * f[:, None, :]
+    E[:n] += E[:n].transpose(0, 2, 1)
+    E[n : 2 * n, :m, :m] = f[:, :, None] * f[:, None, :]
+    if problem.var_entry:
+        E[n : 2 * n, m, m] = problem.var_entry
+    E[2 * n, problem.s1 :, problem.s1 :] = problem.ctrl_info
+    N = 2 * n + 1
+    g = E.reshape(N, -1) @ W.reshape(-1) / threshold
+    H = -2.0 * (E @ G).reshape(N, -1) @ (W @ E).reshape(N, -1).T
+    U = G @ problem.K @ V
+    X = (U.T @ E @ U).reshape(N, -1)
+    # each divided difference is taken from its pair's larger eigenvalue,
+    # so that no power overflows
+    a, top = -problem.p - 1.0, np.maximum.outer(lam, lam)
+    lnq = np.log(np.minimum.outer(lam, lam) / top)
+    tie = np.abs(lnq) < 1e-8
+    lnq[tie] = -1.0
+    D = (top / lam[-1]) ** a / top * np.where(tie, a, np.expm1(a * lnq) / np.expm1(lnq))
+    H = (H - (X * D.reshape(-1)) @ X.T) / threshold - problem.p * np.outer(g, g)
+    i = np.arange(n)
+    H[i, i] += wd * (s[2] - 2.0 * s[1] + s[0]) * ((R - L) / h) ** 2
+    H[i, n + i] = H[n + i, i] = H[i, n + i] + (s[2] - s[0]) * ((R - L) / (2 * h))
+    return g, H
 
-    def objective(x):
-        d, w, c = L + x[:n] * (R - L), x[n : 2 * n], x[2 * n] if with_control else 0.0
-        up, down = np.minimum(d + h, R), np.maximum(d - h, L)
-        F = problem.drug.regression_rows(np.concatenate([d, up, down]))
-        res = problem.analyze(problem.matrix(d, w, c, F[:n]))
-        if res is None:
-            return 1e10, np.zeros_like(x)
-        value, W, threshold = res
-        s = problem.rows(W, F)
-        grad = [w * (s[n : 2 * n] - s[2 * n :]) / (up - down) * (R - L), s[:n]]
-        if with_control:
-            grad.append([problem.at_control(W)])
-        return -math.log(value), -np.concatenate(grad) / threshold
 
-    x0 = np.concatenate([(doses - L) / (R - L), wd, [wc] if with_control else []])
-    total = np.concatenate([np.zeros(n), np.ones(x0.size - n)])
-    # ftol is a relative change in phi; far below the criterion's rounding
-    # (about 1e-11) last-bit noise would decide when SLSQP stops
-    out = minimize(
-        objective, x0, jac=True, method="SLSQP", bounds=[(0.0, 1.0)] * x0.size,
-        constraints={"type": "eq", "fun": lambda x: x @ total - 1.0, "jac": lambda x: total},
-        options={"maxiter": maxiter, "ftol": 1e-12},
-    )
-    x = np.clip(out.x, 0.0, 1.0)
-    live = x[n : 2 * n] > 1e-9
-    wc = x[2 * n] if with_control and x[2 * n] > 1e-9 else 0.0
-    # doses that met slow the sweeps down: nearly equal sensitivities leave
-    # their shares of the weight all but undetermined
-    pairs = zip(L + x[:n][live] * (R - L), x[n : 2 * n][live])
-    merged = np.array(merge_support(pairs, MERGE_FRACTION * (R - L))).reshape(-1, 2)
-    return _normalized(merged[:, 0], merged[:, 1], wc), int(out.nit)
+def _newton_step(g, H, x, with_control: bool):
+    """Active-set Newton step from x = (u, wd, wc) on sum(weights) = 1, or None.
+
+    On the constraint's tangent space the Hessian's eigenvalues are
+    reflected to -max(|mu|, 1e-6 max|mu|), so that every step ascends.
+    Doses at a range end whose gradient points outwards stay, as does a
+    zero control weight or the control of a contrast that does not reach
+    it.  When the step drives a weight below 0 or a dose out of the range,
+    the first such variable is pinned to its bound (a weight together with
+    its dose) and the step is solved again on the smaller face.  Pinning
+    can turn the step downhill; then the first step, stopped at its first
+    bound, is taken instead, which still ascends.  None means
+    the state is stationary: each free weight's gradient is 1 (the weights'
+    gradients average to 1) to within STATIONARY and each free dose's
+    sensitivity slope is 0 to within SLOPE_STATIONARY.
+    """
+    n = (x.size - 1) // 2
+    u, w = x[:n], x[n:]
+    weight = np.arange(x.size) >= n
+    free = np.ones(x.size, bool)
+    free[:n] = ~(((u <= 0) & (g[:n] < 0)) | ((u >= 1) & (g[:n] > 0)))
+    free[-1] = with_control and w[n] > 0
+    # a dose's slope is a central difference, which rounds at about 1e-10
+    done = np.concatenate([np.abs(g[:n] / w[:n]) <= SLOPE_STATIONARY,
+                           np.abs(g[n:] - 1.0) <= STATIONARY])
+    if done[free].all():
+        return None
+    delta, cut = np.zeros(x.size), None  # delta holds the pinned variables' moves
+    while True:
+        delta[free] = 0.0
+        delta[free] = step = _face_step(g, H, weight, free, delta)
+        room = np.where(step < 0, -x[free], np.where(weight[free], np.inf, 1.0 - x[free]))
+        t = np.divide(room, step, out=np.full(step.size, np.inf), where=step != 0)
+        j = int(np.argmin(t)) if t.size else 0
+        if not t.size or t[j] >= 1.0:
+            return delta if cut is None or g @ delta > 0 else cut
+        if cut is None:
+            cut = t[j] * delta
+        k = np.flatnonzero(free)[j]
+        delta[k], free[k] = room[j], False
+        if n <= k < 2 * n:
+            delta[k - n], free[k - n] = 0.0, False
+
+
+def _face_step(g, H, weight, free, delta):
+    """Newton step of the free variables, the pinned ones moving by delta (0 if free)."""
+    Hf = H[free]
+    gf = g[free] + Hf @ delta
+    Hf = Hf[:, free]
+    af = weight[free]
+    k = np.count_nonzero(af)
+    Z, d0 = np.eye(af.size), np.zeros(af.size)
+    if k:
+        # a Householder reflection takes e_j to the constraint's unit normal;
+        # its other columns span the tangent space
+        j = int(np.argmax(af))
+        r = af / math.sqrt(k)
+        r[j] -= 1.0
+        if k > 1:
+            Z -= np.outer(r, r) / -r[j]
+        Z = np.delete(Z, j, axis=1)
+        d0 = af * (-delta[weight].sum() / k)
+        gf = gf + Hf @ d0
+    mu, Q = np.linalg.eigh(Z.T @ Hf @ Z)
+    if not mu.size:
+        return d0
+    curvature = np.maximum(np.abs(mu), 1e-6 * np.abs(mu).max())
+    return d0 + Z @ (Q @ (Q.T @ (Z.T @ gf) / curvature))
 
 
 def _worst_point(problem: _Criterion, W, threshold, grid, Fgrid):

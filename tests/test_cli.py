@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -409,7 +413,7 @@ solver.max_iterations = 1
 
 
 def test_solve_exits_3_when_the_solver_does_not_converge(tmp_path):
-    # one SLSQP iteration from a 33-dose grid leaves the design uncertified
+    # one Newton step from a 33-dose grid leaves the design uncertified
     scn = write(tmp_path, "capped.scn", GOUTY_NORMAL_PHI_CAPPED)
     out = tmp_path / "out"
     assert main(["solve", scn, "--out", str(out)]) == 3
@@ -451,3 +455,24 @@ def test_reproduce_writes_both_tables_and_exits_1(tmp_path, capsys):
     printed = capsys.readouterr().out.splitlines()
     assert any(line.startswith("[FAIL]") for line in printed)
     assert any(line.startswith("[pass]") for line in printed)
+
+
+@pytest.mark.parametrize("command", ["reproduce", "solve"])
+def test_closed_stdout_ends_quietly(tmp_path, command):
+    # `acdesign reproduce | head -c 10` used to end in a BrokenPipeError
+    # traceback; here the reader is gone before the first write
+    argv = [command, "--out", str(tmp_path / "out")]
+    if command == "solve":
+        argv[1:1] = [write(tmp_path, "gouty.scn", GOUTY_NB), "--json"]
+    src = Path(acdesign.cli.__file__).resolve().parents[1]
+    path = os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])
+    env = dict(os.environ, PYTHONPATH=path)
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        run = subprocess.run([sys.executable, "-m", "acdesign.cli", *argv], stdout=write_end,
+                             stderr=subprocess.PIPE, env=env, timeout=300)
+    finally:
+        os.close(write_end)
+    assert run.returncode == acdesign.cli.EXIT_BROKEN_PIPE == 141
+    assert run.stderr == b""
