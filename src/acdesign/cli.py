@@ -86,10 +86,8 @@ _KNOWN_KEYS = {
     "criterion.k11",
     "criterion.k22",
     "criterion.k_stacked",
-    "reference.design",
     "solver.grid_size",
     "solver.max_iterations",
-    "solver.weight_tolerance",
     "solver.multistart",
     "solver.seed",
 }
@@ -100,7 +98,6 @@ class Scenario:
     drug: DrugModel
     control: ControlModel
     criterion: CriterionSpec
-    reference: Optional[Design] = None
     options: SolveOptions = field(default_factory=SolveOptions)
 
 
@@ -213,39 +210,13 @@ def parse_scenario(path: str | Path) -> Scenario:
     else:
         raise ScenarioError(f"unknown criterion kind {kind!r}")
 
-    reference = None
-    if "reference.design" in kv:
-        reference = _design_from_triples(kv["reference.design"])
-
     opts = SolveOptions(
         grid_size=_as_int(kv, "solver.grid_size", 257),
         max_iterations=_as_int(kv, "solver.max_iterations", 400),
-        weight_tolerance=_as_float(kv, "solver.weight_tolerance", 1e-4),
         multistart_count=_as_int(kv, "solver.multistart", 4),
         seed=_as_int(kv, "solver.seed", 0),
     )
-    return Scenario(drug, control, criterion, reference, opts)
-
-
-def _design_from_triples(text: str) -> Design:
-    pts = []
-    wts = []
-    for chunk in text.split(";"):
-        if not chunk.strip():
-            continue
-        parts = chunk.split(",")
-        if len(parts) != 3:
-            raise ScenarioError(f"design entry {chunk!r} is not dose,arm,weight")
-        dose, arm, weight = (p.strip() for p in parts)
-        try:
-            pts.append((float(dose), int(arm)))
-            wts.append(float(weight))
-        except ValueError as exc:
-            raise ScenarioError(f"bad design entry {chunk!r}") from exc
-    try:
-        return Design.from_points(pts, wts)
-    except AcdesignError as exc:
-        raise ScenarioError(f"invalid design: {exc}") from exc
+    return Scenario(drug, control, criterion, opts)
 
 
 def read_design_csv(path: str | Path) -> Design:

@@ -13,8 +13,6 @@ from .designs import Design, InducedDesign, drug_info_matrix, info_matrix, pinv_
 from .exceptions import DesignError, EstimabilityError, UnsupportedCaseError
 from .models import ControlModel, DrugModel, target_dose_grad
 
-NEG_INF_SURROGATE = -50.0  # finite stand-in where a p -> -inf limit has no closed form
-
 
 @dataclass(frozen=True)
 class KMatrix:
@@ -173,15 +171,13 @@ def rho_p(
 ) -> float:
     """Drug-to-control allocation odds for composing the joint optimal design.
 
-    The p = 0 value is the dimension ratio t1/t2; p = -inf is evaluated at
-    the finite surrogate p = -50 because the limit has no closed form.
+    The p = 0 value is the dimension ratio t1/t2 and the p = -inf limit the
+    ratio lam_max(B1)/lam_max(B2) of the blocks' largest contrast variances.
     """
     if K.k11 is None or K.k22 is None:
         raise UnsupportedCaseError("rho_p needs a contrast split into drug/control parts")
     if p == 0.0:
         return K.t1 / K.t2
-    if math.isinf(p) and p < 0:
-        p = NEG_INF_SURROGATE
     M1 = drug_info_matrix(induced_opt, drug)
     B1 = K.k11.T @ pinv_contrast(M1, K.k11, "drug block of the contrast is not estimable")[0]
     B2 = K.k22.T @ pinv_contrast(control.fisher(), K.k22, "control block is not estimable")[0]
@@ -189,6 +185,8 @@ def rho_p(
     lam2 = np.linalg.eigvalsh(0.5 * (B2 + B2.T))
     if lam1[0] <= 0 or lam2[0] <= 0:
         raise EstimabilityError("contrast information is singular")
+    if p == -math.inf:
+        return float(lam1[-1] / lam2[-1])
     log_num = _log_sum_exp(-p * np.log(lam2)) / (p - 1.0)
     log_den = _log_sum_exp(-p * np.log(lam1)) / (p - 1.0)
     return float(np.exp(log_num - log_den))

@@ -2,15 +2,16 @@
 
 A design maximizes a phi_p criterion exactly when a generalized inverse G of
 its information matrix makes the sensitivity function nonpositive over the
-whole design space, with equality on the support.  The Moore-Penrose inverse
-is used first; for rank-deficient information with a one-column contrast the
+whole design space, with equality on the support.  `verify` and
+`sensitivity` take W and the threshold from `_Criterion.analyze`, the
+analysis on which the solver's loop stops, with G the Moore-Penrose
+inverse.  For rank-deficient information with a one-column contrast the
 null-space family of generalized inverses is searched, since the pseudo
 inverse alone can fail to witness optimality of singular designs.
 """
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass
 from typing import Optional
 
@@ -18,9 +19,7 @@ import numpy as np
 from scipy.optimize import linprog
 
 from .criteria import CriterionSpec, KMatrix, phi_p_parts, resolve_spec
-from .designs import (
-    ARM_CONTROL, ARM_DRUG, Design, _in_range, _Information, _spectrum, pinv_contrast,
-)
+from .designs import ARM_CONTROL, ARM_DRUG, Design, _in_range, _Information, _spectrum
 from .exceptions import EstimabilityError, UnsupportedCaseError
 from .models import ControlModel, DrugModel
 from .scalar_opt import golden_max
@@ -30,8 +29,8 @@ class _Criterion(_Information):
     """phi_p of K^T theta on the joint design space, shared with the solver.
 
     `analyze` gives the value, the sensitivity matrix W, the threshold, the
-    eigenpairs of B = K^T G K and G = M^+ from one eigendecomposition of M
-    and one of B.
+    eigenpairs of B = K^T G K, G = M^+ and an orthonormal basis of the null
+    space of M from one eigendecomposition of M and one of B.
     """
 
     def __init__(self, drug: DrugModel, control: ControlModel, K: KMatrix, p: float):
@@ -41,7 +40,7 @@ class _Criterion(_Information):
         self.identity = np.array_equal(self.K, np.eye(self.size))
 
     def analyze(self, M: np.ndarray):
-        """(value, W, threshold, lam, V, G) or None when K is inestimable."""
+        """(value, W, threshold, lam, V, G, null) or None when K is inestimable."""
         lam, V, k = _spectrum(M)
         if not _in_range(V[:, :k], self.K):
             return None
@@ -49,9 +48,33 @@ class _Criterion(_Information):
         # for K = I, B = G has M's eigenvectors and inverted eigenvalues
         eig = (1.0 / lam[::-1], V[:, ::-1]) if self.identity else None
         try:
-            return (*phi_p_parts(G @ self.K, self.K, self.p, eig), G)
+            return (*phi_p_parts(G @ self.K, self.K, self.p, eig), G, V[:, :k])
         except EstimabilityError:
             return None
+
+    def analyze_design(self, design: Design):
+        """`analyze` of a design's information, which must give a unique W."""
+        res = self.analyze(
+            self.matrix(design.drug_doses, design.drug_weights, design.control_weight)
+        )
+        if res is None:
+            raise EstimabilityError("contrast not estimable; sensitivity undefined")
+        if res[1] is None:
+            raise UnsupportedCaseError(
+                "smallest-eigenvalue multiplicity > 1; E-optimal sensitivity undefined"
+            )
+        return res
+
+    def normalized(self, W: np.ndarray, threshold: float, point: tuple[float, int]) -> float:
+        """The sensitivity at a design-space point, on the scale verify reports."""
+        dose, arm = point
+        if arm == ARM_DRUG:
+            value = self.at_dose(W, dose)
+        elif arm == ARM_CONTROL:
+            value = self.at_control(W)
+        else:
+            raise UnsupportedCaseError(f"unknown arm {arm}")
+        return (value - threshold) / abs(threshold)
 
 
 def grid_peak(f, doses: np.ndarray, values: np.ndarray, tol: float) -> tuple[float, float]:
@@ -67,54 +90,6 @@ def grid_peak(f, doses: np.ndarray, values: np.ndarray, tol: float) -> tuple[flo
     return float(d), float(v)
 
 
-class _SensitivityEngine(_Criterion):
-    """The design-level factors W and threshold of the equivalence inequality.
-
-    One eigendecomposition of the design's information gives G K for the
-    Moore-Penrose G, the estimability check and the null space of M.
-    """
-
-    def __init__(
-        self,
-        design: Design,
-        drug: DrugModel,
-        control: ControlModel,
-        K: KMatrix,
-        p: float,
-        ginv: Optional[np.ndarray] = None,
-    ):
-        super().__init__(drug, control, K, p)
-        self.design = design
-        M = self.matrix(design.drug_doses, design.drug_weights, design.control_weight)
-        message = "contrast not estimable; sensitivity undefined"
-        self.GK, self.null = pinv_contrast(M, self.K, message)
-        self.witness(self.GK if ginv is None else ginv @ self.K)
-
-    def witness(self, GK: np.ndarray) -> "_SensitivityEngine":
-        """Take W and the threshold from G K for a generalized inverse G."""
-        _, self.W, self.threshold, *_ = phi_p_parts(GK, self.K, self.p)
-        if self.W is None:
-            raise UnsupportedCaseError(
-                "smallest-eigenvalue multiplicity > 1; E-optimal sensitivity undefined"
-            )
-        return self
-
-    def normalized(self, point: tuple[float, int]) -> float:
-        dose, arm = point
-        if arm == ARM_DRUG:
-            value = self.at_dose(self.W, dose)
-        elif arm == ARM_CONTROL:
-            value = self.at_control(self.W)
-        else:
-            raise UnsupportedCaseError(f"unknown arm {arm}")
-        return (value - self.threshold) / abs(self.threshold)
-
-    def normalized_drug(self, doses: np.ndarray) -> np.ndarray:
-        """normalized((d, ARM_DRUG)) at every dose, in one pass."""
-        raw = self.rows(self.W, self.drug.regression_rows(doses))
-        return (raw - self.threshold) / abs(self.threshold)
-
-
 def sensitivity(
     point: tuple[float, int],
     design: Design,
@@ -122,15 +97,16 @@ def sensitivity(
     control: ControlModel,
     K: KMatrix,
     p: float,
-    ginv: Optional[np.ndarray] = None,
 ) -> float:
     """Equivalence-theorem directional derivative at one design-space point.
 
     Nonpositive everywhere exactly at an optimal design, zero on its
     support.  The value is normalized by the threshold, as verify reports
-    it.  G defaults to the Moore-Penrose inverse of the information.
+    it.  G is the Moore-Penrose inverse of the information.
     """
-    return _SensitivityEngine(design, drug, control, K, p, ginv).normalized(point)
+    criterion = _Criterion(drug, control, K, p)
+    _, W, threshold, *_ = criterion.analyze_design(design)
+    return criterion.normalized(W, threshold, point)
 
 
 @dataclass
@@ -174,20 +150,22 @@ def verify(
     if not 0.0 <= tol < np.inf:
         raise UnsupportedCaseError(f"tolerance must be finite and nonnegative, not {tol}")
     K, p = resolve_spec(spec, drug, control)
-    engine = _SensitivityEngine(design, drug, control, K, p)
+    criterion = _Criterion(drug, control, K, p)
+    _, W, threshold, _, _, G, null = criterion.analyze_design(design)
     strategy = "pseudoinverse"
-    report = _evaluate(engine, grid_size, tol)
-    singular = engine.null.shape[1] > 0
+    report = _evaluate(criterion, design, W, threshold, grid_size, tol)
+    singular = null.shape[1] > 0
     if report.max_violation > tol and singular and K.t == 1:
         # cutting-plane search over the generalized inverses: the grid
         # minimax witness can leak between grid points near a tangency, so
         # each refined violation point is added and the witness re-solved
         extra: list[float] = []
         for _ in range(6):
-            adjusted = _null_adjusted_engine(engine, grid_size, extra)
-            if adjusted is None:
+            z = _null_adjusted(criterion, design, G, null, grid_size, extra)
+            if z is None:
                 break
-            candidate = _evaluate(adjusted, grid_size, tol)
+            _, W, threshold, *_ = phi_p_parts(z, criterion.K, p)
+            candidate = _evaluate(criterion, design, W, threshold, grid_size, tol)
             if candidate.max_violation < report.max_violation:
                 report = candidate
                 strategy = "null-adjusted"
@@ -207,21 +185,23 @@ def verify(
     return report
 
 
-def _evaluate(engine: _SensitivityEngine, grid_size: int, tol: float) -> SensitivityReport:
-    design = engine.design
-    L, R = engine.drug.dose_range
+def _evaluate(
+    criterion: _Criterion, design: Design, W: np.ndarray, threshold: float,
+    grid_size: int, tol: float,
+) -> SensitivityReport:
+    L, R = criterion.drug.dose_range
     doses = np.unique(
         np.concatenate([np.linspace(L, R, grid_size), [L, R], design.drug_doses])
     )
-    values = engine.normalized_drug(doses)
+    values = (criterion.rows(W, criterion.drug.regression_rows(doses)) - threshold) / abs(threshold)
     # the joint design space always contains the control point
-    control_value = engine.normalized((0.0, ARM_CONTROL))
+    control_value = criterion.normalized(W, threshold, (0.0, ARM_CONTROL))
     argmax_dose, max_drug = grid_peak(
-        lambda d: engine.normalized((d, ARM_DRUG)), doses, values, 1e-8 * (R - L)
+        lambda d: criterion.normalized(W, threshold, (d, ARM_DRUG)), doses, values, 1e-8 * (R - L)
     )
     max_violation = max(max_drug, control_value)
     support_points = list(design.points)
-    support_residuals = [abs(engine.normalized(pt)) for pt in support_points]
+    support_residuals = [abs(criterion.normalized(W, threshold, pt)) for pt in support_points]
     return SensitivityReport(
         grid_doses=doses,
         grid_values=values,
@@ -235,10 +215,11 @@ def _evaluate(engine: _SensitivityEngine, grid_size: int, tol: float) -> Sensiti
     )
 
 
-def _null_adjusted_engine(
-    engine: _SensitivityEngine, grid_size: int, extra_doses: Optional[list] = None
-) -> Optional[_SensitivityEngine]:
-    """Search the generalized inverses of a singular M for a witness.
+def _null_adjusted(
+    criterion: _Criterion, design: Design, G: np.ndarray, null_basis: np.ndarray,
+    grid_size: int, extra_doses: list[float],
+) -> Optional[np.ndarray]:
+    """Search the generalized inverses of a singular M for a witness z = G c.
 
     For a one-column contrast the sensitivity depends on G only through
     z = G c with M z = c, i.e. z = M^+ c + N alpha over the null space of M.
@@ -246,11 +227,10 @@ def _null_adjusted_engine(
     program in alpha.  G = M^+ + (z - M^+ c) c^T / (c^T c) is a generalized
     inverse with G c = z, so the optimal z is the G K of the new witness.
     """
-    null_basis = engine.null
-    z0 = engine.GK[:, 0]
-    drug = engine.drug
+    z0 = G @ criterion.K[:, 0]
+    drug = criterion.drug
     L, R = drug.dose_range
-    parts = [np.linspace(L, R, grid_size), engine.design.drug_doses]
+    parts = [np.linspace(L, R, grid_size), design.drug_doses]
     if extra_doses:
         parts.append(np.asarray(extra_doses, float))
     doses = np.unique(np.concatenate(parts))
@@ -267,5 +247,4 @@ def _null_adjusted_engine(
     res = linprog(cost, A_ub=A_ub, b_ub=b_ub, bounds=bounds, method="highs")
     if res.status != 0:
         return None
-    z = z0 + null_basis @ res.x[:k]
-    return copy.copy(engine).witness(z.reshape(-1, 1))
+    return (z0 + null_basis @ res.x[:k]).reshape(-1, 1)

@@ -392,9 +392,10 @@ def target_dose(drug: DrugModel, control: ControlModel) -> float:
 
     Each arm's response is on its own family's comparison scale: the count
     mean for the negative binomial, the mean itself otherwise.  The drug
-    mean to reach is the one whose response equals the control's.  Closed-form
-    rational inversion of the mean curve; a bisection fallback guards
-    against floating-point corner cases near the range endpoints.
+    mean to reach is the one whose response equals the control's, found by
+    closed-form rational inversion of the mean curve.  A level within 1e-12
+    of the attained range but off the curve's own range raises
+    NoTargetDoseError, as any other unattained level does.
     """
     L, R = drug.dose_range
     level = drug.family.mean_at(control.expected_response())
@@ -403,31 +404,10 @@ def target_dose(drug: DrugModel, control: ControlModel) -> float:
         raise NoTargetDoseError(
             f"control response {level:.6g} outside attained range [{lo:.6g}, {hi:.6g}]"
         )
-    try:
-        d = drug.mean.inverse(level)
-    except NoTargetDoseError:
-        d = _bisect_mean(drug, level)
+    d = drug.mean.inverse(level)
     if d < L - 1e-9 * (R - L) or d > R + 1e-9 * (R - L):
         raise NoTargetDoseError(f"target dose {d:.6g} outside [{L}, {R}]")
     return min(max(d, L), R)
-
-
-def _bisect_mean(drug: DrugModel, level: float) -> float:
-    L, R = drug.dose_range
-    tol = 1e-10 * (R - L)
-    lo, hi = L, R
-    flo = drug.mean_value(lo) - level
-    fhi = drug.mean_value(hi) - level
-    if flo * fhi > 0:
-        raise NoTargetDoseError("level not bracketed by the dose range")
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if (drug.mean_value(mid) - level) * flo <= 0:
-            hi = mid
-        else:
-            lo = mid
-            flo = drug.mean_value(lo) - level
-    return 0.5 * (lo + hi)
 
 
 def response_gradient(drug: DrugModel, d: float) -> np.ndarray:

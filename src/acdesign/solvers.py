@@ -21,7 +21,6 @@ import numpy as np
 from scipy.optimize import linprog
 
 from .criteria import (
-    NEG_INF_SURROGATE,
     CriterionSpec,
     KMatrix,
     phi_p,
@@ -63,6 +62,7 @@ _log = logging.getLogger("acdesign")
 
 MERGE_FRACTION = 1e-6  # support doses closer than this fraction of R-L merge
 GAP_STOP = 1.3  # the grid sweeps stop at phi_p efficiency >= 1/GAP_STOP
+WEIGHT_TOLERANCE = 1e-4  # least grid weight of a sensitivity peak's basin that starts the polish
 FALLBACK_DOSES = 16  # start doses when the sensitivity peaks do not estimate
 ROUNDING = 1e-10  # relative margin above the ~1e-11 rounding of criterion values
 STATIONARY = 1e-11  # weight gradient residual at which the Newton polish stops
@@ -71,6 +71,7 @@ SLOPE_STATIONARY = 1e-7  # the same for the sensitivity slope at a support dose
 # support that the worst point of the equivalence check can change
 ROUND_STEPS = 50
 LP_GRID_SIZE = 401  # doses in the Elfving LP of c_opt_numeric
+NEG_INF_SURROGATE = -50.0  # the smooth p on which numeric_solve chases p = -inf
 
 
 @dataclass(frozen=True)
@@ -78,16 +79,14 @@ class SolveOptions:
     """Settings of numeric_solve.
 
     grid_size is the dose grid of the first weight solve and of the
-    violation search, max_iterations caps the Newton steps of all polish
-    rounds and weight_tolerance is the least grid weight of a sensitivity
-    peak's basin that starts the polish as a support dose.
+    violation search, and max_iterations caps the Newton steps of all polish
+    rounds.
     multistart_count and seed are accepted and ignored: the solver has one
     deterministic start.
     """
 
     grid_size: int = 257
     max_iterations: int = 400
-    weight_tolerance: float = 1e-4
     multistart_count: int = 4
     seed: int = 0
 
@@ -96,8 +95,6 @@ class SolveOptions:
             raise UnsupportedCaseError("solver options must be positive")
         if self.grid_size < 2:
             raise UnsupportedCaseError("the solver's dose grid needs at least 2 points")
-        if not self.weight_tolerance > 0:
-            raise UnsupportedCaseError("weight tolerance must be positive")
 
 
 @dataclass(frozen=True)
@@ -669,7 +666,7 @@ def numeric_solve(
     if sweep is None:
         raise EstimabilityError("the uniform grid design does not estimate the contrast")
     wd, wc, (_, W, *_) = sweep
-    state = _peak_start(problem.rows(W, Fgrid), grid, wd, wc, opts.weight_tolerance)
+    state = _peak_start(problem.rows(W, Fgrid), grid, wd, wc)
     res = problem.analyze(problem.matrix(*state))
     if res is None:
         # on a coarse grid, or where the sweeps stop at once (p > 0), two
@@ -758,13 +755,13 @@ def _weight_sweeps(problem: _Criterion, doses, wd, wc, F, gap):
         wd, wc = wd / total, wc / total
 
 
-def _peak_start(s, grid, wd, wc, weight_tolerance):
+def _peak_start(s, grid, wd, wc):
     """One support dose per local maximum of the grid sensitivity s.
 
     Each grid dose climbs to its higher neighbour until it reaches a local
     maximum; the doses that reach the same one form its basin, which spans
     the grid up to the neighbouring local minima.  A basin's grid weight
-    goes to its weight-averaged dose.  Basins lighter than weight_tolerance
+    goes to its weight-averaged dose.  Basins lighter than WEIGHT_TOLERANCE
     are dropped, unless every basin is.
     """
     padded = np.concatenate([[-np.inf], s, [-np.inf]])
@@ -777,7 +774,7 @@ def _peak_start(s, grid, wd, wc, weight_tolerance):
         up = top
     _, basin = np.unique(up, return_inverse=True)
     mass = np.bincount(basin, wd)
-    keep = mass >= min(weight_tolerance, float(mass.max()))
+    keep = mass >= min(WEIGHT_TOLERANCE, float(mass.max()))
     doses = np.bincount(basin, wd * grid)[keep] / mass[keep]
     return _normalized(doses, mass[keep], wc)
 
@@ -831,7 +828,7 @@ def _derivatives(problem: _Criterion, doses, wd, wc, res):
     sensitivity's slope and curvature there.  Derivatives in the dose are
     central differences.
     """
-    _, W, threshold, lam, V, G = res
+    _, W, threshold, lam, V, G, _ = res
     drug, m, n = problem.drug, problem.m, doses.size
     L, R = drug.dose_range
     h = 1e-6 * (R - L)

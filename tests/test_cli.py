@@ -180,6 +180,19 @@ def test_unknown_key_rejected(tmp_path):
     assert main(["solve", scn]) == 2
 
 
+# solver.weight_tolerance is a constant of the solver and no command read
+# reference.design, so both keys are gone and read as unknown
+@pytest.mark.parametrize("line", [
+    "solver.weight_tolerance = 1e-4",
+    "reference.design = 25,0,0.143; 50,0,0.143; 100,0,0.143; "
+    "200,0,0.143; 300,0,0.143; 0,1,0.285",
+], ids=["solver.weight_tolerance", "reference.design"])
+def test_removed_key_rejected(tmp_path, capsys, line):
+    scn = write(tmp_path, "bad.scn", GOUTY_NB + line + "\n")
+    assert main(["solve", scn]) == 2
+    assert "unknown key" in capsys.readouterr().err
+
+
 def test_missing_key_rejected(tmp_path):
     scn = write(tmp_path, "bad.scn", "drug.family = binomial\n")
     assert main(["solve", scn]) == 2
@@ -257,16 +270,6 @@ def test_duplicate_key_rejected(tmp_path):
     assert main(["solve", scn]) == 2
 
 
-def test_reference_design_parses(tmp_path):
-    text = GOUTY_NB + (
-        "reference.design = 25,0,0.143; 50,0,0.143; 100,0,0.143; "
-        "200,0,0.143; 300,0,0.143; 0,1,0.285\n"
-    )
-    scn = write(tmp_path, "ref.scn", text)
-    out = tmp_path / "out"
-    assert main(["solve", scn, "--out", str(out)]) == 0
-
-
 def test_solve_outputs_are_deterministic(tmp_path):
     scn = write(tmp_path, "gouty.scn", GOUTY_NB)
     out1, out2 = tmp_path / "a", tmp_path / "b"
@@ -314,8 +317,8 @@ def test_one_point_ac_design_survives_csv_round_trip(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("key", [
-    "solver.grid_size", "solver.max_iterations", "solver.weight_tolerance",
-    "solver.multistart", "solver.seed", "criterion.p",
+    "solver.grid_size", "solver.max_iterations", "solver.multistart", "solver.seed",
+    "criterion.p",
 ])
 def test_non_numeric_value_rejected(tmp_path, capsys, key):
     lines = [line for line in REMARK1.splitlines() if not line.startswith(f"{key} ")]

@@ -31,9 +31,11 @@ from acdesign import (
     psi_ac,
     response_gradient,
     rho_p,
+    solve_d_optimal,
     target_dose,
 )
 from acdesign.models import response_dose_derivative
+from acdesign.reproduce import gouty_models, migraine_models
 
 GOUTY = Emax(0.26, 0.73, 10.5)
 
@@ -184,6 +186,22 @@ def test_rho_p_poisson_allocation_formula():
     assert share == pytest.approx(
         math.sqrt(delta) / (math.sqrt(delta) + math.sqrt(mu)), rel=1e-10
     )
+
+
+@pytest.mark.parametrize("models,family", [
+    (gouty_models, "normal"), (gouty_models, "negative_binomial"),
+    (migraine_models, "normal"), (migraine_models, "binomial"),
+], ids=["gouty-normal", "gouty-negbin", "migraine-normal", "migraine-binomial"])
+def test_rho_p_e_limit_is_the_ratio_of_largest_variances(models, family):
+    # the p -> -inf limit of rho_p on the D-optimal induced design, against
+    # the largest eigenvalue of each block's pseudo-inverse information
+    drug, ctrl = models(family)
+    ind = solve_d_optimal(drug, ctrl).induced()
+    M1 = sum(w * drug.fisher(d) for d, w in zip(ind.doses, ind.weights))
+    oracle = (np.linalg.eigvalsh(np.linalg.pinv(M1))[-1]
+              / np.linalg.eigvalsh(np.linalg.pinv(ctrl.fisher()))[-1])
+    K = KMatrix.block_identity(drug.n_params, ctrl.n_params)
+    assert rho_p(ind, drug, ctrl, K, -math.inf) == pytest.approx(oracle, rel=1e-9)
 
 
 # ---------------------------------------------------------------------------

@@ -133,7 +133,6 @@ def test_e_optimal_sensitivity_paths():
         (0.3, 0.3, 0.4),
     )
     from acdesign.designs import info_matrix
-    from acdesign.equivalence import _SensitivityEngine
 
     M = info_matrix(deg, drug2, ctrl2)
     lam = np.linalg.eigvalsh(M)
@@ -141,7 +140,7 @@ def test_e_optimal_sensitivity_paths():
     V = np.linalg.eigh(M)[1]
     K_deg = KMatrix(V[:, :2] * np.sqrt(lam[:2]))
     with pytest.raises(UnsupportedCaseError):
-        _SensitivityEngine(deg, drug2, ctrl2, K_deg, -np.inf)
+        sensitivity((25.0, ARM_DRUG), deg, drug2, ctrl2, K_deg, -np.inf)
 
 
 def test_report_csv_round_trip(tmp_path):
@@ -158,20 +157,20 @@ def test_report_csv_round_trip(tmp_path):
     assert float(val0) == pytest.approx(rep.grid_values[0], rel=1e-6)
 
 
-def _verify_with_engine(monkeypatch, design, drug, ctrl, spec):
-    """verify, plus the sensitivity engine behind the evaluation it reports."""
+def _verify_with_witness(monkeypatch, design, drug, ctrl, spec):
+    """verify, plus the W and threshold behind the evaluation it reports."""
     seen = []
     evaluate = equivalence._evaluate
 
-    def spy(engine, *args):
-        report = evaluate(engine, *args)
-        seen.append((engine, report))
+    def spy(criterion, design, W, threshold, *args):
+        report = evaluate(criterion, design, W, threshold, *args)
+        seen.append((W, threshold, report))
         return report
 
     monkeypatch.setattr(equivalence, "_evaluate", spy)
     rep = verify(design, drug, ctrl, spec)
-    (engine,) = [e for e, r in seen if r is rep]
-    return rep, engine
+    ((W, threshold),) = [(W, t) for W, t, r in seen if r is rep]
+    return rep, W, threshold
 
 
 def _gouty_normal_d():
@@ -200,9 +199,8 @@ def _poisson_mm_e():
                                   _poisson_mm_one_point_ac, _poisson_mm_e])
 def test_grid_values_match_joint_information_trace(monkeypatch, case):
     design, drug, ctrl, spec, strategy = case()
-    rep, engine = _verify_with_engine(monkeypatch, design, drug, ctrl, spec)
+    rep, W, thr = _verify_with_witness(monkeypatch, design, drug, ctrl, spec)
     assert rep.ginv_strategy == strategy
-    W, thr = engine.W, engine.threshold
     s1 = drug.n_params
 
     def joint_trace(block, fisher):
@@ -231,3 +229,21 @@ def test_verify_builds_no_fisher_matrix_per_grid_dose(monkeypatch, case):
     rep = verify(design, drug, ctrl, spec, grid_size=512)
     assert rep.grid_doses.size >= 512
     assert len(calls) < 50
+
+
+@pytest.mark.parametrize("case", [_gouty_normal_d, _migraine_binomial_d])
+def test_verify_takes_one_eigendecomposition(monkeypatch, case):
+    # for the block-identity contrast B = M^+ shares M's eigenvectors, so
+    # the one analysis behind the report decomposes M alone
+    design, drug, ctrl, spec, _ = case()
+    eigh = np.linalg.eigh
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return eigh(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    rep = verify(design, drug, ctrl, spec)
+    assert rep.verdict == "optimal"
+    assert len(calls) == 1

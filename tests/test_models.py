@@ -391,6 +391,17 @@ def test_target_dose_out_of_range():
         target_dose(drug, ControlModel(Normal(1.0), 0.9))
 
 
+@pytest.mark.parametrize("drug,mu", [
+    (DrugModel(Normal(1.0), MichaelisMenten(0.5, 2.0), (0.0, 10.0)), -5e-13),
+    (DrugModel(Normal(0.0025), GOUTY_MEAN, (0.0, 300.0)), 0.26 - 5e-13),
+])
+def test_target_dose_just_below_the_curve_has_none(drug, mu):
+    # the level passes the 1e-12 slack on the attained range but lies below
+    # the curve's value at dose 0, so no dose reaches it
+    with pytest.raises(NoTargetDoseError):
+        target_dose(drug, ControlModel(drug.family, mu))
+
+
 def test_target_dose_grad_nuisance_zero_and_fd():
     drug = DrugModel(Normal(0.0025), GOUTY_MEAN, (0.0, 300.0))
     ctrl = ControlModel(Normal(0.0025), 0.9206)

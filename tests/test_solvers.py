@@ -651,9 +651,9 @@ def test_numeric_solve_leaves_no_dead_support_dose(model, grid, p):
 
 def test_numeric_solve_analyses_on_the_case_studies(monkeypatch):
     # the grid sweeps stop at phi_p efficiency 1/1.3, the polish starts
-    # from the sensitivity peaks and each Newton step takes one analysis;
-    # sweeping the grid to the sweep cap took 128-136 analyses on these
-    # models, and the SLSQP polish 39-52 in all
+    # from the sensitivity peaks, each Newton step takes one analysis and
+    # the final verify one more; sweeping the grid to the sweep cap took
+    # 128-136 analyses on these models, and the SLSQP polish 39-52 in all
     import acdesign.equivalence as eq
 
     calls = []
@@ -687,6 +687,28 @@ def test_numeric_solve_on_coarse_grids(name, grid):
     assert res.report.verdict == "optimal"
     composed = compose_active_control(res.design.induced(), drug, ctrl, K, -1.0)
     assert res.criterion_value >= phi_p(composed, drug, ctrl, K, -1.0) * (1 - 1e-9)
+
+
+@pytest.mark.parametrize("p", [0.25, 0.5])
+@pytest.mark.parametrize("name", sorted(_CASE_STUDIES))
+def test_numeric_solve_adds_the_worst_point_for_0_lt_p_lt_1(monkeypatch, name, p):
+    # each solve here but one ends after its first polish round; gouty
+    # negative binomial at p = 0.5 spends that round's step budget, so the
+    # worst point of the equivalence check joins the support and a second
+    # round certifies the design
+    import acdesign.solvers as sv
+
+    rounds = []
+    polish = sv._polish
+
+    def counted(*args):
+        rounds.append(args)
+        return polish(*args)
+
+    monkeypatch.setattr(sv, "_polish", counted)
+    res = numeric_solve(*_CASE_STUDIES[name](), CriterionSpec("phi_p", p))
+    assert (res.stop_reason, res.report.verdict) == ("certified", "optimal")
+    assert len(rounds) == (2 if (name, p) == ("gouty-negbin", 0.5) else 1)
 
 
 def _contrast(kind, drug, ctrl):
