@@ -9,7 +9,9 @@ from typing import Optional
 
 import numpy as np
 
-from .designs import Design, InducedDesign, drug_info_matrix, info_matrix, pinv_contrast
+from .designs import (
+    Design, InducedDesign, _in_range, _spectrum, drug_info_matrix, info_matrix, pinv_contrast,
+)
 from .exceptions import DesignError, EstimabilityError, UnsupportedCaseError
 from .models import ControlModel, DrugModel, target_dose_grad
 
@@ -141,14 +143,35 @@ def phi_p_parts(GK: np.ndarray, K: np.ndarray, p: float, eig=None) -> tuple:
     return value, W, float(lam[-1] * np.sum(ratio ** (-p))), lam, V
 
 
+def phi_p_analysis(M: np.ndarray, K: np.ndarray, p: float, identity: bool):
+    """(value, W, threshold, lam, V, G, null) of phi_p for K^T theta at information M.
+
+    One eigendecomposition of M gives G = M^+ and an orthonormal basis
+    `null` of its null space; B = K^T G K takes one more unless K is the
+    identity (`identity`), when B = G has M's eigenvectors and inverted
+    eigenvalues.  None when K^T theta is not estimable.
+    """
+    lam, V, k = _spectrum(M)
+    if not _in_range(V[:, :k], K):
+        return None
+    G = (V[:, k:] / lam[k:]) @ V[:, k:].T
+    eig = (1.0 / lam[::-1], V[:, ::-1]) if identity else None
+    try:
+        return (*phi_p_parts(G @ K, K, p, eig), G, V[:, :k])
+    except EstimabilityError:
+        return None
+
+
 def phi_p_from_info(M: np.ndarray, K: np.ndarray, p: float) -> float:
     """Kiefer information functional of K^T M^- K; larger is better.
 
     p = 0 is the determinant (D) criterion, p = -1 the average-variance
     criterion, p = -inf the smallest eigenvalue of (K^T M^- K)^{-1}.
     """
-    GK, _ = pinv_contrast(M, K, "K^T theta is not estimable under this design")
-    return phi_p_parts(GK, K, p)[0]
+    res = phi_p_analysis(M, K, p, np.array_equal(K, np.eye(K.shape[0])))
+    if res is None:
+        raise EstimabilityError("K^T theta is not estimable under this design")
+    return res[0]
 
 
 def phi_p(design: Design, drug: DrugModel, control: ControlModel, K: KMatrix, p: float) -> float:

@@ -7,7 +7,8 @@ whole design space, with equality on the support.  `verify` and
 analysis on which the solver's loop stops, with G the Moore-Penrose
 inverse.  For rank-deficient information with a one-column contrast the
 null-space family of generalized inverses is searched, since the pseudo
-inverse alone can fail to witness optimality of singular designs.
+inverse alone can fail to witness optimality of singular designs; that
+search is a discrete Chebyshev fit, which `scalar_opt.minimax` solves.
 """
 
 from __future__ import annotations
@@ -16,13 +17,14 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import linprog
+# unused: bench/tracing.py counts calls through this name (ROADMAP item 1)
+from scipy.optimize import linprog  # noqa: F401
 
-from .criteria import CriterionSpec, KMatrix, phi_p_parts, resolve_spec
-from .designs import ARM_CONTROL, ARM_DRUG, Design, _in_range, _Information, _spectrum
+from .criteria import CriterionSpec, KMatrix, phi_p_analysis, phi_p_parts, resolve_spec
+from .designs import ARM_CONTROL, ARM_DRUG, Design, _Information
 from .exceptions import EstimabilityError, UnsupportedCaseError
 from .models import ControlModel, DrugModel
-from .scalar_opt import golden_max
+from .scalar_opt import golden_max, minimax
 
 
 class _Criterion(_Information):
@@ -30,7 +32,7 @@ class _Criterion(_Information):
 
     `analyze` gives the value, the sensitivity matrix W, the threshold, the
     eigenpairs of B = K^T G K, G = M^+ and an orthonormal basis of the null
-    space of M from one eigendecomposition of M and one of B.
+    space of M from `phi_p_analysis`, the route `phi_p` also takes.
     """
 
     def __init__(self, drug: DrugModel, control: ControlModel, K: KMatrix, p: float):
@@ -41,16 +43,7 @@ class _Criterion(_Information):
 
     def analyze(self, M: np.ndarray):
         """(value, W, threshold, lam, V, G, null) or None when K is inestimable."""
-        lam, V, k = _spectrum(M)
-        if not _in_range(V[:, :k], self.K):
-            return None
-        G = (V[:, k:] / lam[k:]) @ V[:, k:].T
-        # for K = I, B = G has M's eigenvectors and inverted eigenvalues
-        eig = (1.0 / lam[::-1], V[:, ::-1]) if self.identity else None
-        try:
-            return (*phi_p_parts(G @ self.K, self.K, self.p, eig), G, V[:, :k])
-        except EstimabilityError:
-            return None
+        return phi_p_analysis(M, self.K, self.p, self.identity)
 
     def analyze_design(self, design: Design):
         """`analyze` of a design's information, which must give a unique W."""
@@ -223,28 +216,27 @@ def _null_adjusted(
 
     For a one-column contrast the sensitivity depends on G only through
     z = G c with M z = c, i.e. z = M^+ c + N alpha over the null space of M.
-    Minimizing the maximal |f(x)^T z| over the dose grid is a linear
-    program in alpha.  G = M^+ + (z - M^+ c) c^T / (c^T c) is a generalized
-    inverse with G c = z, so the optimal z is the G K of the new witness.
+    Minimizing the maximal |f(x)^T z| over the dose grid is a discrete
+    Chebyshev fit in alpha, which `minimax` solves.  The grid holds each
+    support dose and two doses 1/100 of a grid step either side of it, so
+    |f(x)^T z| peaks at the support rather than between grid points.
+    G = M^+ + (z - M^+ c) c^T / (c^T c) is a generalized inverse with
+    G c = z, so the optimal z is the G K of the new witness.
     """
     z0 = G @ criterion.K[:, 0]
     drug = criterion.drug
     L, R = drug.dose_range
-    parts = [np.linspace(L, R, grid_size), design.drug_doses]
+    step = 0.01 * (R - L) / (grid_size - 1)
+    support = design.drug_doses
+    parts = [np.linspace(L, R, grid_size), support,
+             np.clip(np.concatenate([support - step, support + step]), L, R)]
     if extra_doses:
         parts.append(np.asarray(extra_doses, float))
     doses = np.unique(np.concatenate(parts))
     m = drug.n_mean_params
     F = drug.regression_rows(doses)
-    b = F @ z0[:m]
-    A = F @ null_basis[:m]
-    k = null_basis.shape[1]
-    # the least tau with -tau <= b + A alpha <= tau
-    cost = np.concatenate([np.zeros(k), [1.0]])
-    A_ub = np.block([[A, -np.ones((A.shape[0], 1))], [-A, -np.ones((A.shape[0], 1))]])
-    b_ub = np.concatenate([-b, b])
-    bounds = [(None, None)] * k + [(0, None)]
-    res = linprog(cost, A_ub=A_ub, b_ub=b_ub, bounds=bounds, method="highs")
-    if res.status != 0:
+    try:
+        alpha, _, _ = minimax(F @ null_basis[:m], F @ z0[:m])
+    except EstimabilityError:
         return None
-    return (z0 + null_basis @ res.x[:k]).reshape(-1, 1)
+    return (z0 + null_basis @ alpha).reshape(-1, 1)

@@ -2,9 +2,10 @@
 
 Closed forms cover the D-optimal designs for both mean curves under all four
 families and the Elfving-geometry c-optimal designs for the Michaelis-Menten
-curve.  General c-optimal problems take one Elfving LP, then closed-form
-support weights.  Arbitrary contrasts and p take one weight solve on a
-dose grid, then Newton steps on doses and weights together.
+curve.  General c-optimal problems take one Elfving LP, solved as a
+discrete Chebyshev fit by `scalar_opt.minimax`, then closed-form support
+weights.  Arbitrary contrasts and p take one weight solve on a dose grid,
+then Newton steps on doses and weights together.
 Joint designs are assembled from drug-only solutions by the allocation rule
 w_control = 1/(1+rho_p).  The information matrix is block diagonal, so this
 holds for any pairing of drug and control families.
@@ -18,7 +19,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import linprog
+# unused: bench/tracing.py counts calls through this name (ROADMAP item 1)
+from scipy.optimize import linprog  # noqa: F401
 
 from .criteria import (
     CriterionSpec,
@@ -56,7 +58,7 @@ from .models import (
     target_dose,
     target_dose_grad,
 )
-from .scalar_opt import bracketed_root, golden_max
+from .scalar_opt import bracketed_root, golden_max, minimax
 
 _log = logging.getLogger("acdesign")
 
@@ -412,35 +414,32 @@ def _representation(
 def _copt_lp(F: np.ndarray, c: np.ndarray) -> np.ndarray:
     """Maximize gamma with gamma*c in the convex hull of +-f rows of F.
 
-    Returns the signed mass on each row; the solution is basic, so at most
-    len(c) rows carry mass.
+    Returns the signed mass on each row.  This is the dual of Elfving's
+    minimax problem: u = c/|c|^2 + N alpha, with N an orthonormal basis of
+    the complement of c, minimizes max_i |f_i . u| at gamma, and the dual
+    weights of that fit are the mass, on at most len(c) rows.
     """
-    n, s = F.shape
-    A_eq = np.zeros((s + 1, 2 * n + 1))
-    A_eq[:s, :n] = F.T
-    A_eq[:s, n : 2 * n] = -F.T
-    A_eq[:s, 2 * n] = -c
-    A_eq[s, : 2 * n] = 1.0
-    b_eq = np.zeros(s + 1)
-    b_eq[s] = 1.0
-    cost = np.zeros(2 * n + 1)
-    cost[2 * n] = -1.0
-    res = linprog(cost, A_eq=A_eq, b_eq=b_eq, method="highs")  # default bounds x >= 0
-    if res.status != 0:
-        raise EstimabilityError(f"c-optimal linear program failed: {res.message}")
-    return res.x[:n] - res.x[n : 2 * n]
+    cc = float(c @ c)
+    if not (0.0 < cc < np.inf):
+        raise EstimabilityError("c-optimal problem needs a nonzero finite contrast")
+    N = np.linalg.svd(c.reshape(1, -1))[2][1:].T
+    _, gamma, mass = minimax(F @ N, F @ (c / cc))
+    if not gamma > 0.0:
+        raise EstimabilityError("contrast lies outside the span of the regression rows")
+    return mass
 
 
 def c_opt_numeric(drug: DrugModel, c_vector: np.ndarray) -> ElfvingSolution:
     """c-optimal induced design: one Elfving LP, then closed-form support weights.
 
     The LP runs once on a fixed dose grid, with the one-point dose d* added
-    when the contrast lies on a gradient ray.  Its basic solution has at
-    most n_mean_params support points (Elfving 1952); golden-section moves
-    of the interior doses then lower the variance bound, with the
-    optimal weights on each trial support in closed form.  The one-point
-    design at d* is preferred whenever it attains the bound, since the LP
-    can return an equivalent spread representation of a flat boundary face.
+    when the contrast lies on a gradient ray; `_copt_lp` solves it as a
+    minimax fit.  Its basic solution has at most n_mean_params support
+    points (Elfving 1952); golden-section moves of the interior doses then
+    lower the variance bound, with the optimal weights on each trial
+    support in closed form.  The one-point design at d* is preferred
+    whenever it attains the bound, since the LP can return an equivalent
+    spread representation of a flat boundary face.
     """
     c = np.asarray(c_vector, float).reshape(-1)
     if c.size != drug.n_mean_params:

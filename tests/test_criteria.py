@@ -326,3 +326,20 @@ def test_efficiency_above_one_raises():
     bad_reference = joint_design((10.0, 100.0, 250.0), (0.2, 0.2, 0.2), 0.4)
     with pytest.raises(DesignError):
         d_efficiency(dopt, bad_reference, drug, ctrl)
+
+
+def test_d_efficiency_takes_one_eigendecomposition_per_design(monkeypatch):
+    # for the block-identity contrast B = M^+ shares M's eigenvectors, so
+    # each phi_p value decomposes M alone
+    drug, ctrl = gouty_models("normal")
+    opt = solve_d_optimal(drug, ctrl)
+    eigh = np.linalg.eigh
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return eigh(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    assert d_efficiency(opt, opt, drug, ctrl) == 1.0
+    assert len(calls) == 2

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from acdesign import equivalence
+from acdesign import equivalence, solvers
 from acdesign import (
     ARM_CONTROL,
     ARM_DRUG,
@@ -22,6 +22,7 @@ from acdesign import (
     solve_d_optimal,
     verify,
 )
+from acdesign.reproduce import gouty_models, migraine_models
 
 D_SPEC = CriterionSpec("phi_p", 0.0)
 
@@ -247,3 +248,31 @@ def test_verify_takes_one_eigendecomposition(monkeypatch, case):
     rep = verify(design, drug, ctrl, spec)
     assert rep.verdict == "optimal"
     assert len(calls) == 1
+
+
+def _one_point_ac_optima():
+    cases = []
+    for family in (Normal(0.25), Binomial(), Poisson()):
+        drug = DrugModel(family, MichaelisMenten(0.5, 2.0), (0.0, 50.0))
+        cases.append((drug, ControlModel(family, 0.3)))  # target dose 3
+    cases += [gouty_models("normal"), migraine_models("normal"), migraine_models("binomial")]
+    return cases
+
+
+@pytest.mark.parametrize("drug, ctrl", _one_point_ac_optima())
+def test_one_point_ac_optima_take_the_null_adjusted_witness(monkeypatch, drug, ctrl):
+    # the Elfving design and the witness are discrete Chebyshev fits; no
+    # linear-program solver runs
+    def forbidden(*args, **kwargs):
+        raise AssertionError("linprog called")
+
+    monkeypatch.setattr(solvers, "linprog", forbidden)
+    monkeypatch.setattr(equivalence, "linprog", forbidden)
+    design = ac_optimal(drug, ctrl)
+    assert len(design.drug_doses) == 1
+    rep = verify(design, drug, ctrl, CriterionSpec("ac"))
+    assert rep.verdict == "optimal"
+    assert rep.ginv_strategy == "null-adjusted"
+    # a witness whose peak falls between grid doses near the support leaves
+    # a violation of the order of the squared grid step, up to 1e-5 here
+    assert rep.max_violation <= 1e-6

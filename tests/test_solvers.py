@@ -352,6 +352,64 @@ def test_elfving_rejects_non_gradient_contrast():
         c_opt_elfving_2d(drug, np.array([1.0, 1.0]))  # positive ed50 slot
 
 
+def _highs_c_opt(drug, c):
+    """c_opt_numeric with its Elfving LP solved by HiGHS: (support doses, delta)."""
+    from scipy.optimize import linprog
+
+    from acdesign import solvers
+
+    L, R = drug.dose_range
+    doses = np.linspace(L, R, solvers.LP_GRID_SIZE)
+    one_point = solvers._one_point_candidate(drug, c)
+    if one_point is not None:
+        doses = np.unique(np.append(doses, one_point[0]))
+    F = drug.regression_rows(doses)
+    n, s = F.shape
+    # maximize gamma with gamma * c = F^T (x+ - x-), sum(x+ + x-) = 1, x >= 0
+    A_eq = np.zeros((s + 1, 2 * n + 1))
+    A_eq[:s, :n], A_eq[:s, n:2 * n], A_eq[:s, 2 * n] = F.T, -F.T, -c
+    A_eq[s, :2 * n] = 1.0
+    res = linprog(np.r_[np.zeros(2 * n), -1.0], A_eq=A_eq, b_eq=np.eye(s + 1)[s], method="highs")
+    assert res.status == 0
+    z = res.x[:n] - res.x[n:2 * n]
+    supp = np.abs(z) > 1e-10 * np.max(np.abs(z))
+    support, _, delta = solvers._polish_support(drug, c, doses[supp])
+    if one_point is not None and one_point[1] <= delta * (1.0 + 1e-6):
+        return [one_point[0]], one_point[1]
+    return support, delta
+
+
+def _elfving_cases():
+    cases = []
+    for drug, ctrl in (gouty_models("normal"), migraine_models("normal"),
+                       migraine_models("binomial")):
+        cases.append((drug, response_gradient(drug, target_dose(drug, ctrl))[:3]))
+    rng = np.random.default_rng(18)
+    for family in (Normal(0.01), Binomial(), Poisson(), NegativeBinomial(5)):
+        e0, emax, ed50 = rng.uniform(0.1, 0.3), rng.uniform(0.3, 0.6), rng.uniform(5.0, 30.0)
+        drug = DrugModel(family, Emax(e0, emax, ed50), (0.0, 100.0))
+        ctrl = ControlModel(family, e0 + emax * rng.uniform(0.3, 0.7))
+        cases.append((drug, response_gradient(drug, target_dose(drug, ctrl))[:3]))
+        cases.append((drug, np.array([0.0, 0.0, 1.0])))  # the ED50: a three-point optimum
+    return cases
+
+
+@pytest.mark.parametrize("drug, c", _elfving_cases())
+def test_c_opt_numeric_matches_a_highs_elfving_lp(drug, c):
+    doses, delta = _highs_c_opt(drug, c)
+    sol = c_opt_numeric(drug, c)
+    assert np.asarray(sol.doses) == pytest.approx(np.asarray(doses), rel=1e-9, abs=1e-12)
+    assert sol.delta == pytest.approx(delta, rel=1e-9)
+
+
+def test_c_opt_numeric_rejects_a_zero_contrast():
+    from acdesign import EstimabilityError
+
+    drug, _ = gouty_models("normal")
+    with pytest.raises(EstimabilityError):
+        c_opt_numeric(drug, np.zeros(3))
+
+
 # ---------------------------------------------------------------------------
 # AC-optimal designs
 # ---------------------------------------------------------------------------
