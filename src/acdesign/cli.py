@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import os
@@ -250,11 +251,19 @@ def read_design_csv(path: str | Path) -> Design:
 
 
 def write_design_csv(design: Design, path: str | Path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["dose", "arm", "weight"])
-        for (dose, arm), w in zip(design.points, design.weights):
-            writer.writerow([repr(float(dose)), arm, repr(float(w))])
+    # the rows csv.writer gives for numbers: no quoting, "\r\n" line ends
+    rows = "".join(f"{float(dose)!r},{arm},{float(w)!r}\r\n"
+                   for (dose, arm), w in zip(design.points, design.weights))
+    _write_output(path, "dose,arm,weight\r\n" + rows)
+
+
+def _write_output(path: str | Path, text: str) -> None:
+    """Write an output file in one call; a path that cannot be written exits 2."""
+    try:
+        with open(path, "w", newline="") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ScenarioError(f"cannot write {path}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -321,7 +330,7 @@ def cmd_solve(args) -> int:
         "stop_reason": stop_reason,
         "iterations": result.iterations if stop_reason is not None else None,
     }
-    (out_dir / "report.json").write_text(json.dumps(payload, indent=2) + "\n")
+    _write_output(out_dir / "report.json", json.dumps(payload, indent=2) + "\n")
     if args.json:
         print(json.dumps(payload, indent=2))
     else:
@@ -355,7 +364,7 @@ def cmd_verify(args) -> int:
         grid_size=512 if args.grid is None else args.grid, tol=args.tol,
     )
     out_dir = _out_dir(args.out)
-    report.to_csv(out_dir / "sensitivity.csv")
+    _write_output(out_dir / "sensitivity.csv", report.csv_text())
     summary = {
         "verdict": report.verdict,
         "max_violation": sig6(report.max_violation),
@@ -364,7 +373,7 @@ def cmd_verify(args) -> int:
         "support_residuals": [sig6(r) for r in report.support_residuals],
         "ginv": report.ginv_strategy,
     }
-    (out_dir / "verify.json").write_text(json.dumps(summary, indent=2) + "\n")
+    _write_output(out_dir / "verify.json", json.dumps(summary, indent=2) + "\n")
     if args.json:
         print(json.dumps(summary, indent=2))
     else:
@@ -395,43 +404,49 @@ def cmd_reproduce(args) -> int:
     from .reproduce import run_reproduction
 
     out_dir = _out_dir(args.out)
-    ok = run_reproduction(out_dir, print)
+    ok = run_reproduction(lambda name, text: _write_output(out_dir / name, text), print)
     return EXIT_OK if ok else 1
 
 
-def main(argv: Optional[list[str]] = None) -> int:
+_OPTIONS = {
+    "--out": dict(default=".", help="output directory"),
+    "--grid": dict(type=int, default=None, help="dose grid size"),
+    "--tol": dict(type=float, default=1e-5, help="equivalence tolerance"),
+    "--json": dict(action="store_true", help="print JSON to stdout"),
+}
+
+# name: (help, positional arguments, options), as the README synopsis lists them
+_COMMANDS = {
+    "solve": ("solve a scenario", ["scenario"], ["--out", "--grid", "--tol", "--json"]),
+    "verify": ("verify a design", ["scenario", "design"], ["--out", "--grid", "--tol", "--json"]),
+    "efficiency": ("efficiency of a design", ["scenario", "design"], ["--grid", "--json"]),
+    "reproduce": ("rebuild the benchmark tables", [], ["--out"]),
+}
+
+
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call to main."""
     parser = argparse.ArgumentParser(
         prog="acdesign",
         description="Optimal designs for dose-finding studies with an active control",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, positionals, options) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        for arg in positionals:
+            p.add_argument(arg)
+        for opt in options:
+            p.add_argument(opt, **_OPTIONS[opt])
+    return parser
 
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--grid", type=int, default=None, help="dose grid size")
-    common.add_argument("--tol", type=float, default=1e-5, help="equivalence tolerance")
-    common.add_argument("--json", action="store_true", help="print JSON to stdout")
-    common.add_argument("--out", default=".", help="output directory")
 
-    p_solve = sub.add_parser("solve", parents=[common], help="solve a scenario")
-    p_solve.add_argument("scenario")
-    p_solve.set_defaults(func=cmd_solve)
-
-    p_verify = sub.add_parser("verify", parents=[common], help="verify a design")
-    p_verify.add_argument("scenario")
-    p_verify.add_argument("design")
-    p_verify.set_defaults(func=cmd_verify)
-
-    p_eff = sub.add_parser("efficiency", parents=[common], help="efficiency of a design")
-    p_eff.add_argument("scenario")
-    p_eff.add_argument("design")
-    p_eff.set_defaults(func=cmd_efficiency)
-
-    p_rep = sub.add_parser("reproduce", parents=[common], help="rebuild the benchmark tables")
-    p_rep.set_defaults(func=cmd_reproduce)
-
-    args = parser.parse_args(argv)
+def main(argv: Optional[list[str]] = None) -> int:
+    args = _parser().parse_args(argv)
+    # looked up on each call, so that a replaced cmd_* is the one that runs
+    command = globals()[f"cmd_{args.command}"]
     try:
-        status = args.func(args)
+        status = command(args)
         sys.stdout.flush()  # a reader that went away shows here, not at exit
         return status
     except AcdesignError as exc:

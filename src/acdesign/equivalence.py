@@ -115,12 +115,16 @@ class SensitivityReport:
     tol: float
     ginv_strategy: str = "pseudoinverse"
 
-    def to_csv(self, path) -> None:
+    def csv_text(self) -> str:
         """(dose, sensitivity) rows for the drug arm, for external plotting."""
+        rows = "".join(f"{d:.9g},{v:.9g}\n"
+                       for d, v in zip(self.grid_doses.tolist(), self.grid_values.tolist()))
+        return "dose,sensitivity\n" + rows
+
+    def to_csv(self, path) -> None:
+        """Write csv_text() to path."""
         with open(path, "w") as fh:
-            fh.write("dose,sensitivity\n")
-            for d, v in zip(self.grid_doses, self.grid_values):
-                fh.write(f"{d:.9g},{v:.9g}\n")
+            fh.write(self.csv_text())
 
 
 def verify(

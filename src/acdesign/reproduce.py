@@ -16,9 +16,9 @@ The README's benchmark section carries the analysis.
 from __future__ import annotations
 
 import csv
+import io
 import math
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Callable
 
 import numpy as np
@@ -255,25 +255,25 @@ def build_cells() -> list[Cell]:
     return cells
 
 
-def run_reproduction(out_dir: Path, emit: Callable[[str], None]) -> bool:
-    """Write the benchmark tables and report pass/fail per cell."""
+def run_reproduction(save: Callable[[str, str], None], emit: Callable[[str], None]) -> bool:
+    """Save each benchmark table as save(file name, CSV text); report pass/fail per cell."""
     cells = build_cells()
     for table in ("d-table", "ac-table"):
-        path = out_dir / f"{table}.csv"
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["cell", "computed", "published", "tolerance", "status", "note"])
-            for cell in cells:
-                if cell.table != table:
-                    continue
-                writer.writerow([
-                    cell.label,
-                    f"{cell.computed:.6g}",
-                    f"{cell.published:.6g}",
-                    f"{cell.tolerance:.6g}",
-                    "pass" if cell.passed else "FAIL",
-                    cell.note,
-                ])
+        buf = io.StringIO(newline="")
+        writer = csv.writer(buf)
+        writer.writerow(["cell", "computed", "published", "tolerance", "status", "note"])
+        for cell in cells:
+            if cell.table != table:
+                continue
+            writer.writerow([
+                cell.label,
+                f"{cell.computed:.6g}",
+                f"{cell.published:.6g}",
+                f"{cell.tolerance:.6g}",
+                "pass" if cell.passed else "FAIL",
+                cell.note,
+            ])
+        save(f"{table}.csv", buf.getvalue())
     ok = True
     for cell in cells:
         status = "pass" if cell.passed else "FAIL"

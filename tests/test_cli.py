@@ -1,5 +1,8 @@
+import argparse
+import csv
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -9,7 +12,7 @@ import pytest
 
 import acdesign.cli
 import acdesign.solvers
-from acdesign import KMatrix, ac_efficiency, phi_p
+from acdesign import KMatrix, ac_efficiency, phi_p, verify
 from acdesign.cli import main, parse_scenario, read_design_csv
 
 GOUTY_NB = """
@@ -479,3 +482,101 @@ def test_closed_stdout_ends_quietly(tmp_path, command):
         os.close(write_end)
     assert run.returncode == acdesign.cli.EXIT_BROKEN_PIPE == 141
     assert run.stderr == b""
+
+
+@pytest.mark.parametrize("command,blocked", [
+    ("solve", "design.csv"), ("solve", "report.json"),
+    ("verify", "sensitivity.csv"), ("verify", "verify.json"),
+    ("reproduce", "d-table.csv"), ("reproduce", "ac-table.csv"),
+])
+def test_unwritable_output_file_exits_2(tmp_path, capsys, command, blocked):
+    # a directory where the output file should go: IsADirectoryError
+    scn = write(tmp_path, "gouty.scn", GOUTY_NB)
+    design = tmp_path / "design.csv"
+    design.write_text("dose,arm,weight\n0,0,0.25\n25,0,0.25\n300,0,0.25\n0,1,0.25\n")
+    out = tmp_path / "out"
+    (out / blocked).mkdir(parents=True)
+    argv = {"solve": ["solve", scn], "verify": ["verify", scn, str(design)],
+            "reproduce": ["reproduce"]}[command]
+    assert main(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {out / blocked}: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["efficiency", "s.scn", "d.csv", "--out", "x"],
+    ["efficiency", "s.scn", "d.csv", "--tol", "1e-6"],
+    ["reproduce", "--grid", "9"],
+    ["reproduce", "--tol", "1e-6"],
+    ["reproduce", "--json"],
+], ids=["efficiency-out", "efficiency-tol", "reproduce-grid", "reproduce-tol", "reproduce-json"])
+def test_option_a_command_does_not_read_is_a_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_replaced_commands_and_writers_are_the_ones_that_run(tmp_path, monkeypatch, capsys):
+    # bench/tracing.py replaces these module attributes after the parser exists
+    scn = write(tmp_path, "gouty.scn", GOUTY_NB)
+    out = tmp_path / "out"
+    assert main(["solve", scn, "--out", str(out)]) == 0
+    calls = []
+    write_design_csv = acdesign.cli.write_design_csv
+
+    def writer(design, path):
+        calls.append("write_design_csv")
+        write_design_csv(design, path)
+
+    monkeypatch.setattr(acdesign.cli, "cmd_verify", lambda args: calls.append("cmd_verify") or 0)
+    monkeypatch.setattr(acdesign.cli, "write_design_csv", writer)
+    assert main(["verify", scn, str(out / "design.csv")]) == 0
+    assert main(["solve", scn, "--out", str(out)]) == 0
+    assert calls == ["cmd_verify", "write_design_csv"]
+
+
+def _design_csv_per_row(design, path):
+    """design.csv as written one csv.writer row at a time."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["dose", "arm", "weight"])
+        for (dose, arm), w in zip(design.points, design.weights):
+            writer.writerow([repr(float(dose)), arm, repr(float(w))])
+
+
+def _sensitivity_csv_per_row(report, path):
+    """sensitivity.csv as written one numpy-scalar line at a time."""
+    with open(path, "w") as fh:
+        fh.write("dose,sensitivity\n")
+        for d, v in zip(report.grid_doses, report.grid_values):
+            fh.write(f"{d:.9g},{v:.9g}\n")
+
+
+@pytest.mark.parametrize("text", [REMARK1, GOUTY_NB], ids=["numeric", "closed-form"])
+def test_output_csv_bytes_match_the_per_row_writers(tmp_path, text):
+    scn = write(tmp_path, "s.scn", text)
+    out = tmp_path / "out"
+    assert main(["solve", scn, "--out", str(out)]) == 0
+    assert main(["verify", scn, str(out / "design.csv"), "--out", str(out)]) == 0
+    s = parse_scenario(scn)
+    design, _, _ = acdesign.cli._solve_scenario(s)
+    _design_csv_per_row(design, tmp_path / "design.csv")
+    assert (out / "design.csv").read_bytes() == (tmp_path / "design.csv").read_bytes()
+    report = verify(read_design_csv(out / "design.csv"), s.drug, s.control, s.criterion)
+    _sensitivity_csv_per_row(report, tmp_path / "sensitivity.csv")
+    assert (out / "sensitivity.csv").read_bytes() == (tmp_path / "sensitivity.csv").read_bytes()
+
+
+def test_readme_synopsis_lists_each_command_with_the_options_it_parses():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = re.search(r"## Command line\n\n```\n(.*?)```", readme, re.S).group(1)
+    listed = {}
+    for line in block.splitlines():
+        if line.startswith("acdesign "):
+            listed[line.split()[1]] = set(re.findall(r"--[a-z][a-z-]*", line))
+    (sub,) = [a for a in acdesign.cli._parser()._actions
+              if isinstance(a, argparse._SubParsersAction)]
+    parsed = {name: {opt for action in p._actions for opt in action.option_strings}
+              - {"-h", "--help"} for name, p in sub.choices.items()}
+    assert listed == parsed
