@@ -330,9 +330,10 @@ def cmd_solve(args) -> int:
         "stop_reason": stop_reason,
         "iterations": result.iterations if stop_reason is not None else None,
     }
-    _write_output(out_dir / "report.json", json.dumps(payload, indent=2) + "\n")
+    text = json.dumps(payload, indent=2)
+    _write_output(out_dir / "report.json", text + "\n")
     if args.json:
-        print(json.dumps(payload, indent=2))
+        print(text)
     else:
         print(f"method: {method}")
         for (d, a), w in zip(design.points, design.weights):
@@ -373,9 +374,10 @@ def cmd_verify(args) -> int:
         "support_residuals": [sig6(r) for r in report.support_residuals],
         "ginv": report.ginv_strategy,
     }
-    _write_output(out_dir / "verify.json", json.dumps(summary, indent=2) + "\n")
+    text = json.dumps(summary, indent=2)
+    _write_output(out_dir / "verify.json", text + "\n")
     if args.json:
-        print(json.dumps(summary, indent=2))
+        print(text)
     else:
         print(f"verdict: {report.verdict} (max violation {report.max_violation:.3g})")
     return EXIT_OK

@@ -3,6 +3,7 @@ design efficiencies."""
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -51,9 +52,16 @@ class KMatrix:
         return cls(full, k11, k22)
 
     @classmethod
+    @functools.lru_cache(maxsize=None)
     def block_identity(cls, s1: int, s2: int) -> "KMatrix":
-        """Full-parameter contrast, kept in block form so composition applies."""
-        return cls.block(np.eye(s1), np.eye(s2))
+        """Full-parameter contrast, kept in block form so composition applies.
+
+        Built once per (s1, s2) and shared, so its arrays are read-only.
+        """
+        K = cls.block(np.eye(s1), np.eye(s2))
+        for a in (K.matrix, K.k11, K.k22):
+            a.flags.writeable = False
+        return K
 
     @classmethod
     def stacked(cls, k11: np.ndarray, k22: np.ndarray) -> "KMatrix":

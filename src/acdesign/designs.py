@@ -181,13 +181,6 @@ class _Information:
             vals = vals + self.var_entry * W[self.m, self.m]
         return vals
 
-    def at_dose(self, W: np.ndarray, d: float) -> float:
-        f = self.drug.regression_vector(d)
-        val = float(f @ W[: self.m, : self.m] @ f)
-        if self.var_entry:
-            val += self.var_entry * W[self.m, self.m]
-        return val
-
     def at_control(self, W: np.ndarray) -> float:
         return float(np.trace(self.ctrl_info @ W[self.s1 :, self.s1 :]))
 

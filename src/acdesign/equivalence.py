@@ -5,14 +5,18 @@ its information matrix makes the sensitivity function nonpositive over the
 whole design space, with equality on the support.  `verify` and
 `sensitivity` take W and the threshold from `_Criterion.analyze`, the
 analysis on which the solver's loop stops, with G the Moore-Penrose
-inverse.  For rank-deficient information with a one-column contrast the
-null-space family of generalized inverses is searched, since the pseudo
-inverse alone can fail to witness optimality of singular designs; that
-search is a discrete Chebyshev fit, which `scalar_opt.minimax` solves.
+inverse.  The drug-arm sensitivity is evaluated in batches, one call of
+`_Information.rows` on stacked regression rows for the dose grid and one
+for each refinement pass of `grid_peak`.  For rank-deficient information
+with a one-column contrast the null-space family of generalized inverses
+is searched, since the pseudo inverse alone can fail to witness optimality
+of singular designs; that search is a discrete Chebyshev fit, which
+`scalar_opt.minimax` solves.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -24,7 +28,10 @@ from .criteria import CriterionSpec, KMatrix, phi_p_analysis, phi_p_parts, resol
 from .designs import ARM_CONTROL, ARM_DRUG, Design, _Information
 from .exceptions import EstimabilityError, UnsupportedCaseError
 from .models import ControlModel, DrugModel
-from .scalar_opt import golden_max, minimax
+from .scalar_opt import minimax
+
+# grid_peak's refinement passes; each evaluates its doses in one batch
+_PASSES = 3
 
 
 class _Criterion(_Information):
@@ -62,7 +69,7 @@ class _Criterion(_Information):
         """The sensitivity at a design-space point, on the scale verify reports."""
         dose, arm = point
         if arm == ARM_DRUG:
-            value = self.at_dose(W, dose)
+            value = float(self.rows(W, self.drug.regression_rows([dose]))[0])
         elif arm == ARM_CONTROL:
             value = self.at_control(W)
         else:
@@ -73,14 +80,30 @@ class _Criterion(_Information):
 def grid_peak(f, doses: np.ndarray, values: np.ndarray, tol: float) -> tuple[float, float]:
     """(dose, value) of the peak of f, whose values at the sorted doses are given.
 
-    Golden-section search between the neighbours of the grid argmax catches
-    an off-grid peak; the grid point is kept only when it is strictly higher.
+    f maps an array of doses to their values.  The search starts from the
+    bracket between the neighbours of the grid argmax; each pass evaluates
+    k evenly spaced interior doses in one call of f and narrows the bracket
+    to the two neighbours of the best point seen so far.  k is chosen so
+    that _PASSES passes shrink the bracket below tol, so for a unimodal f
+    the argmax is found within tol.  The grid point is kept unless a
+    sampled dose is strictly higher.
     """
     i = int(np.argmax(values))
-    d, v = golden_max(f, doses[max(i - 1, 0)], doses[min(i + 1, doses.size - 1)], tol)
-    if values[i] > v:
-        return float(doses[i]), float(values[i])
-    return float(d), float(v)
+    best, v_best = float(doses[i]), float(values[i])
+    a, b = float(doses[max(i - 1, 0)]), float(doses[min(i + 1, doses.size - 1)])
+    # each pass leaves at most 2 / (k + 1) of the bracket
+    k = math.ceil(2.0 * ((b - a) / tol) ** (1.0 / _PASSES))
+    for _ in range(_PASSES):
+        if b - a <= tol:
+            break
+        h = (b - a) / (k + 1)
+        x = a + h * np.arange(1, k + 1)
+        y = f(x)
+        j = int(np.argmax(y))
+        if y[j] > v_best:
+            best, v_best = float(x[j]), float(y[j])
+        a, b = float(x[x < best].max(initial=a)), float(x[x > best].min(initial=b))
+    return best, v_best
 
 
 def sensitivity(
@@ -138,9 +161,10 @@ def verify(
     """Check local optimality of a design against its criterion.
 
     The normalized sensitivity is evaluated on a uniform dose grid plus the
-    design support and the control point; the grid maximum is refined by
-    golden-section search.  Verdict 'optimal' needs the maximum violation
-    and every support residual within tol.
+    design support and the control point; `grid_peak` refines the grid
+    maximum in batched passes, and the support residuals are read off the
+    grid.  Verdict 'optimal' needs the maximum violation and every support
+    residual within tol.
     """
     if grid_size < 2:
         raise UnsupportedCaseError("grid_size must be at least 2")
@@ -190,15 +214,21 @@ def _evaluate(
     doses = np.unique(
         np.concatenate([np.linspace(L, R, grid_size), [L, R], design.drug_doses])
     )
-    values = (criterion.rows(W, criterion.drug.regression_rows(doses)) - threshold) / abs(threshold)
+
+    def drug_values(d: np.ndarray) -> np.ndarray:
+        return (criterion.rows(W, criterion.drug.regression_rows(d)) - threshold) / abs(threshold)
+
+    values = drug_values(doses)
     # the joint design space always contains the control point
     control_value = criterion.normalized(W, threshold, (0.0, ARM_CONTROL))
-    argmax_dose, max_drug = grid_peak(
-        lambda d: criterion.normalized(W, threshold, (d, ARM_DRUG)), doses, values, 1e-8 * (R - L)
-    )
+    argmax_dose, max_drug = grid_peak(drug_values, doses, values, 1e-8 * (R - L))
     max_violation = max(max_drug, control_value)
+    # np.unique keeps each support dose exactly, so its value is on the grid
     support_points = list(design.points)
-    support_residuals = [abs(criterion.normalized(W, threshold, pt)) for pt in support_points]
+    support_residuals = [
+        abs(control_value if arm == ARM_CONTROL else float(values[doses.searchsorted(d)]))
+        for d, arm in support_points
+    ]
     return SensitivityReport(
         grid_doses=doses,
         grid_values=values,

@@ -934,12 +934,13 @@ def _face_step(g, H, weight, free, delta):
 def _worst_point(problem: _Criterion, W, threshold, grid, Fgrid):
     """Normalized equivalence violation and its point (None: the control).
 
-    The grid maximum is refined by golden-section search between its
+    `grid_peak` refines the grid maximum in batched passes between its
     neighbours; the control point is compared last.
     """
     L, R = problem.drug.dose_range
     d_best, v_best = grid_peak(
-        lambda d: problem.at_dose(W, d), grid, problem.rows(W, Fgrid), 1e-9 * (R - L)
+        lambda ds: problem.rows(W, problem.drug.regression_rows(ds)), grid,
+        problem.rows(W, Fgrid), 1e-9 * (R - L),
     )
     v_top, d_top = max([(v_best, d_best), (problem.at_control(W), None)], key=lambda t: t[0])
     return (v_top - threshold) / abs(threshold), d_top

@@ -89,6 +89,16 @@ def test_solve_numeric_scenario(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out) == report
 
 
+@pytest.mark.parametrize("scenario", [GOUTY_NB, REMARK1])
+def test_json_stdout_is_the_written_file(tmp_path, capsys, scenario):
+    scn = write(tmp_path, "s.scn", scenario)
+    out = tmp_path / "out"
+    assert main(["solve", scn, "--out", str(out), "--json"]) == 0
+    assert capsys.readouterr().out == (out / "report.json").read_text()
+    assert main(["verify", scn, str(out / "design.csv"), "--out", str(out), "--json"]) == 0
+    assert capsys.readouterr().out == (out / "verify.json").read_text()
+
+
 GOUTY_NORMAL_POISSON_CONTROL = """
 drug.family = normal
 drug.mean = emax

@@ -343,3 +343,25 @@ def test_d_efficiency_takes_one_eigendecomposition_per_design(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigh", counted)
     assert d_efficiency(opt, opt, drug, ctrl) == 1.0
     assert len(calls) == 2
+
+
+def test_block_identity_is_built_once_and_read_only():
+    K = KMatrix.block_identity(4, 2)
+    assert KMatrix.block_identity(4, 2) is K
+    assert K.is_block and np.array_equal(K.matrix, np.eye(6))
+    for a in (K.matrix, K.k11, K.k22):
+        with pytest.raises(ValueError):
+            a[0, 0] = 2.0
+    assert KMatrix.block_identity(3, 2).matrix.shape == (5, 5)
+
+
+@pytest.mark.parametrize("K", [
+    np.array([[1.0, 2.0], [2.0, 4.0], [0.0, 0.0]]),
+    np.zeros((3, 1)),
+    np.eye(3)[:, [0, 0]],
+])
+def test_rank_deficient_contrast_raises(K):
+    with pytest.raises(DesignError):
+        KMatrix(K)
+    with pytest.raises(DesignError):
+        KMatrix.block(K, np.eye(2))

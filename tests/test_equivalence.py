@@ -22,6 +22,7 @@ from acdesign import (
     solve_d_optimal,
     verify,
 )
+from acdesign.designs import joint_design
 from acdesign.reproduce import gouty_models, migraine_models
 
 D_SPEC = CriterionSpec("phi_p", 0.0)
@@ -276,3 +277,195 @@ def test_one_point_ac_optima_take_the_null_adjusted_witness(monkeypatch, drug, c
     # a witness whose peak falls between grid doses near the support leaves
     # a violation of the order of the squared grid step, up to 1e-5 here
     assert rep.max_violation <= 1e-6
+
+
+# -- grid_peak against a golden-section oracle ---------------------------------
+
+_INV_PHI = (np.sqrt(5.0) - 1.0) / 2.0
+
+
+def _golden_oracle(f, doses, values, tol):
+    """Golden-section search, one scalar dose at a time, between the
+    neighbours of the grid argmax; the grid point wins only when strictly
+    higher.  f maps an array of doses to their values."""
+    i = int(np.argmax(values))
+    a, b = float(doses[max(i - 1, 0)]), float(doses[min(i + 1, doses.size - 1)])
+
+    def g(x):
+        return float(f(np.array([x]))[0])
+
+    c, d = b - _INV_PHI * (b - a), a + _INV_PHI * (b - a)
+    yc, yd = g(c), g(d)
+    while b - a > tol:
+        if yc > yd:
+            b, d, yd = d, c, yc
+            c = b - _INV_PHI * (b - a)
+            yc = g(c)
+        else:
+            a, c, yc = c, d, yd
+            d = a + _INV_PHI * (b - a)
+            yd = g(d)
+    x, v = (c, yc) if yc > yd else (d, yd)
+    if values[i] > v:
+        return float(doses[i]), float(values[i])
+    return x, v
+
+
+def _counted(f):
+    calls = []
+
+    def wrapped(x):
+        x = np.asarray(x, float)
+        calls.append(x.size)
+        return f(x)
+
+    return wrapped, calls
+
+
+def _check_against_oracle(f, doses, tol, peak=None):
+    """grid_peak calls f at most once per pass and is no lower than the
+    oracle, which is meaningful once tol leaves value errors below 1e-12;
+    given the true peak, it is within tol of it."""
+    values = f(doses)
+    counted, calls = _counted(f)
+    d, v = equivalence.grid_peak(counted, doses, values, tol)
+    _, v_ref = _golden_oracle(f, doses, values, tol)
+    scale = max(1.0, float(np.max(np.abs(values))))
+    assert len(calls) <= equivalence._PASSES
+    assert doses[0] <= d <= doses[-1]
+    assert v == pytest.approx(float(f(np.array([d]))[0]), rel=0.0, abs=1e-12 * scale)
+    if tol <= 1e-8 * (doses[-1] - doses[0]):
+        assert v >= v_ref - 1e-12 * scale
+    if peak is not None:
+        assert abs(d - peak) <= tol
+    return d, v, calls
+
+
+_SMOOTH = [
+    (lambda x: -(x - 0.3137) ** 2, 0.3137),
+    (lambda x: np.exp(-((x - 0.71) / 0.05) ** 2), 0.71),
+    (lambda x: 2.5 * x * np.exp(-4.0 * x), 0.25),
+    (lambda x: np.cos(3.0 * (x - 0.52)), 0.52),
+    (lambda x: x**3 * (1.0 - x), 0.75),
+    (lambda x: 1.0 / (1.0 + ((x - 0.123456) / 0.1) ** 2), 0.123456),
+]
+
+
+@pytest.mark.parametrize("f, peak", _SMOOTH)
+@pytest.mark.parametrize("grid", [9, 64, 512])
+def test_grid_peak_matches_golden_oracle_on_smooth_functions(f, peak, grid):
+    doses = np.unique(np.concatenate([np.linspace(0.0, 1.0, grid), [0.05, 0.4]]))
+    # the argmax is checked where tol is wider than the span over which f
+    # is flat to rounding, the value at the tolerance verify uses
+    for tol in (1e-3, 1e-6):
+        _check_against_oracle(f, doses, tol, peak)
+    _check_against_oracle(f, doses, 1e-8)
+
+
+def test_grid_peak_at_the_ends_and_on_two_point_grids():
+    doses = np.linspace(2.0, 7.0, 40)
+    d, v, calls = _check_against_oracle(lambda x: -x, doses, 1e-8, peak=2.0)
+    assert (d, v) == (2.0, -2.0) and calls
+    d, v, _ = _check_against_oracle(lambda x: np.log(x), doses, 1e-8, peak=7.0)
+    assert (d, v) == (7.0, float(np.log(7.0)))
+    two = np.array([0.0, 1.0])
+    _check_against_oracle(lambda x: -(x - 0.6) ** 2, two, 1e-9, peak=0.6)
+    d, _, _ = _check_against_oracle(lambda x: x, two, 1e-9, peak=1.0)
+    assert d == 1.0
+
+
+def test_grid_peak_keeps_the_grid_point_of_a_narrow_bracket():
+    doses = np.array([0.0, 0.5, 0.5 + 1e-10, 0.5 + 2e-10, 1.0])
+    f = lambda x: -(x - 0.5 - 1.3e-10) ** 2  # noqa: E731
+    d, v, calls = _check_against_oracle(f, doses, 1e-9, peak=0.5 + 1.3e-10)
+    assert d == doses[2] and calls == []
+
+
+def test_grid_peak_keeps_a_grid_point_no_sample_beats():
+    doses = np.linspace(0.0, 1.0, 11)
+    f = lambda x: -np.abs(x - doses[4])  # noqa: E731
+    d, v, calls = _check_against_oracle(f, doses, 1e-8, peak=doses[4])
+    assert (d, v) == (doses[4], 0.0) and len(calls) == equivalence._PASSES
+    # a tie with a sampled dose keeps the grid point as well
+    d, v, _ = _check_against_oracle(lambda x: np.zeros_like(x), doses, 1e-8)
+    assert (d, v) == (0.0, 0.0)
+
+
+def _case_study_sensitivities():
+    """(drug, f, perturbed design) with f the batched normalized sensitivity."""
+    out = []
+    for drug, ctrl in (gouty_models("normal"), gouty_models("negative_binomial"),
+                       migraine_models("binomial"), migraine_models("normal")):
+        opt = solve_d_optimal(drug, ctrl)
+        wd = opt.drug_weights
+        # moving weight off the middle dose opens an interior violation
+        moved = joint_design(opt.drug_doses, wd * [1.3, 0.4, 1.3], opt.control_weight)
+        for des in (opt, moved):
+            criterion = equivalence._Criterion(drug, ctrl, KMatrix.block_identity(
+                drug.n_params, ctrl.n_params), 0.0)
+            _, W, thr, *_ = criterion.analyze_design(des)
+
+            def f(x, criterion=criterion, W=W, thr=thr):
+                return (criterion.rows(W, criterion.drug.regression_rows(x)) - thr) / abs(thr)
+
+            out.append((drug, f))
+    return out
+
+
+@pytest.mark.parametrize("drug, f", _case_study_sensitivities())
+def test_grid_peak_matches_golden_oracle_on_case_study_sensitivities(drug, f):
+    L, R = drug.dose_range
+    doses = np.linspace(L, R, 512)
+    tol = 1e-8 * (R - L)
+    # the true peak to a thousandth of tol, by the oracle on a finer bracket
+    peak, _ = _golden_oracle(f, doses, f(doses), 1e-3 * tol)
+    d, _, _ = _check_against_oracle(f, doses, tol)
+    # the sensitivity is flat to rounding within sqrt(eps) of a support dose
+    assert abs(d - peak) <= tol + 1e-7 * (R - L)
+
+
+# -- support residuals and the batched evaluation --------------------------------
+
+def _residual_designs():
+    drug, ctrl = gouty_models("normal")
+    L, R = drug.dose_range
+    opt = solve_d_optimal(drug, ctrl)
+    control_first = Design(
+        ((0.0, ARM_CONTROL), (L, ARM_DRUG), (40.0, ARM_DRUG), (R, ARM_DRUG)),
+        (0.3, 0.2, 0.25, 0.25),
+    )
+    mdrug, mctrl = migraine_models("binomial")
+    mopt = solve_d_optimal(mdrug, mctrl)
+    return [(opt, drug, ctrl), (control_first, drug, ctrl), (mopt, mdrug, mctrl),
+            (joint_design(mopt.drug_doses, [0.2, 0.15, 0.25], 0.4), mdrug, mctrl),
+            (solve_d_optimal(*_poisson_mm()),) + _poisson_mm()]
+
+
+@pytest.mark.parametrize("design, drug, ctrl", _residual_designs())
+def test_support_residuals_match_point_sensitivity(design, drug, ctrl):
+    rep = verify(design, drug, ctrl, D_SPEC)
+    assert rep.ginv_strategy == "pseudoinverse"
+    assert rep.support_points == list(design.points)
+    K = KMatrix.block_identity(drug.n_params, ctrl.n_params)
+    for point, resid in zip(rep.support_points, rep.support_residuals):
+        assert isinstance(resid, float)
+        assert resid == pytest.approx(abs(sensitivity(point, design, drug, ctrl, K, 0.0)),
+                                      rel=0.0, abs=1e-12)
+
+
+def test_verify_evaluates_the_drug_arm_in_batches(monkeypatch):
+    design, drug, ctrl, spec, _ = _gouty_normal_d()
+    counts = {"regression_rows": 0, "regression_vector": 0}
+    for name in counts:
+        original = getattr(DrugModel, name)
+
+        def counted(self, *args, name=name, original=original):
+            counts[name] += 1
+            return original(self, *args)
+
+        monkeypatch.setattr(DrugModel, name, counted)
+    rep = verify(design, drug, ctrl, spec, grid_size=512)
+    assert rep.verdict == "optimal"
+    # the design's information, the grid and one call per grid_peak pass
+    assert counts["regression_rows"] <= 2 + equivalence._PASSES
+    assert counts["regression_vector"] == 0
