@@ -2,10 +2,13 @@
 
 Closed forms cover the D-optimal designs for both mean curves under all four
 families and the Elfving-geometry c-optimal designs for the Michaelis-Menten
-curve.  General c-optimal problems take one Elfving LP, solved as a
-discrete Chebyshev fit by `scalar_opt.minimax`, then closed-form support
-weights.  Arbitrary contrasts and p take one weight solve on a dose grid,
-then Newton steps on doses and weights together.
+curve.  A general c-optimal problem whose contrast lies on the gradient ray
+of an interior dose d* first tries the one-point design at d*, certified by
+an exact tangent-line test of Elfving's theorem; otherwise it takes one
+Elfving LP, solved as a discrete Chebyshev fit by `scalar_opt.minimax`,
+then closed-form support weights.  Arbitrary contrasts and p take one
+weight solve on a dose grid, then Newton steps on doses and weights
+together.
 Joint designs are assembled from drug-only solutions by the allocation rule
 w_control = 1/(1+rho_p).  The information matrix is block diagonal, so this
 holds for any pairing of drug and control families.
@@ -430,16 +433,18 @@ def _copt_lp(F: np.ndarray, c: np.ndarray) -> np.ndarray:
 
 
 def c_opt_numeric(drug: DrugModel, c_vector: np.ndarray) -> ElfvingSolution:
-    """c-optimal induced design: one Elfving LP, then closed-form support weights.
+    """c-optimal induced design: a one-point certificate, or one Elfving LP.
 
-    The LP runs once on a fixed dose grid, with the one-point dose d* added
-    when the contrast lies on a gradient ray; `_copt_lp` solves it as a
-    minimax fit.  Its basic solution has at most n_mean_params support
-    points (Elfving 1952); golden-section moves of the interior doses then
-    lower the variance bound, with the optimal weights on each trial
-    support in closed form.  The one-point design at d* is preferred
-    whenever it attains the bound, since the LP can return an equivalent
-    spread representation of a flat boundary face.
+    When the contrast lies on the gradient ray of an interior dose d*,
+    `_one_point_certified` tests the one-point design at d* on the LP's
+    dose grid and, if it holds, returns it without the LP.  Otherwise the
+    LP runs once on that grid, with d* added when it exists; `_copt_lp`
+    solves it as a minimax fit.  Its basic solution has at most
+    n_mean_params support points (Elfving 1952); golden-section moves of
+    the interior doses then lower the variance bound, with the optimal
+    weights on each trial support in closed form.  The one-point design at
+    d* is preferred whenever it attains the bound, since the LP can return
+    an equivalent spread representation of a flat boundary face.
     """
     c = np.asarray(c_vector, float).reshape(-1)
     if c.size != drug.n_mean_params:
@@ -448,6 +453,8 @@ def c_opt_numeric(drug: DrugModel, c_vector: np.ndarray) -> ElfvingSolution:
     doses = np.linspace(L, R, LP_GRID_SIZE)
     one_point = _one_point_candidate(drug, c)
     if one_point is not None:
+        if _one_point_certified(drug, doses, one_point[0]):
+            return _finish_elfving(drug, c, [one_point[0]], [1.0], "one-point")
         doses = np.unique(np.append(doses, one_point[0]))
     z = _copt_lp(drug.regression_rows(doses), c)
     supp = np.abs(z) > 1e-10 * np.max(np.abs(z))
@@ -544,6 +551,29 @@ def _one_point_candidate(drug: DrugModel, c: np.ndarray) -> Optional[tuple[float
     return d, delta
 
 
+def _one_point_certified(drug: DrugModel, grid: np.ndarray, dstar: float) -> bool:
+    """Whether the one-point design at an interior d* is c-optimal on grid.
+
+    Elfving's theorem asks for u with u.f(d*) = 1 and |u.f(d)| <= 1 at every
+    dose, so u.f'(d*) = 0 (f' a central difference): u = u0 + t v, with v
+    spanning the null space of [f(d*); f'(d*)], a line for Emax and a point
+    for Michaelis-Menten.  Each dose bounds t to an interval; they must meet.
+    """
+    L, R = drug.dose_range
+    h = 1e-6 * (R - L)
+    if not L + h < dstar < R - h:
+        return False
+    F = drug.regression_rows(np.concatenate([[dstar, dstar - h, dstar + h], grid]))
+    U, S, Vt = np.linalg.svd(np.stack([F[0], (F[2] - F[1]) * ((R - L) / (2 * h))]))
+    a = F[3:] @ (Vt[:2].T @ (U[0] / S))  # u0 . f for the least-norm u0
+    b = F[3:] @ Vt[2:].sum(axis=0)  # v . f; v = 0 when the null space is a point
+    top, flat = 1.0 + 1e-12, b == 0.0
+    if not np.all(np.abs(a[flat]) <= top):
+        return False
+    lo, hi = np.sort([(-top - a[~flat]) / b[~flat], (top - a[~flat]) / b[~flat]], axis=0)
+    return bool(lo.max(initial=-np.inf) <= hi.min(initial=np.inf))
+
+
 # ---------------------------------------------------------------------------
 # AC-optimal designs
 # ---------------------------------------------------------------------------
@@ -552,10 +582,11 @@ def ac_optimal(drug: DrugModel, control: ControlModel) -> Design:
     """Locally AC-optimal design: best design for estimating the target dose.
 
     Solves the induced c-optimal problem for the mean-curve gradient at the
-    target dose (closed Elfving geometry for MM; otherwise one Elfving LP,
-    then closed-form support weights), then splits mass between arms by
-    the general rho_{-1} ratio, which reproduces the published
-    family-specific allocation formulas.
+    target dose (closed Elfving geometry for MM; for Emax the one-point
+    design at the target dose when `c_opt_numeric` certifies it, otherwise
+    one Elfving LP, then closed-form support weights), then splits mass
+    between arms by the general rho_{-1} ratio, which reproduces the
+    published family-specific allocation formulas.
     """
     dstar = target_dose(drug, control)
     ctil = response_gradient(drug, dstar)
@@ -733,8 +764,9 @@ def _weight_sweeps(problem: _Criterion, doses, wd, wc, F, gap):
     efficiency bound (Pukelsheim, 1993) the state then has phi_p efficiency
     at least 1/gap on these doses.  At the sweep cap the last state is
     kept; the polish and its certificate decide from there.  Returns (wd,
-    wc, analysis of that state), or None when the contrast is not
-    estimable.
+    wc, analysis of that state), or None when the starting weights do not
+    estimate the contrast.  A later state that loses estimability raises
+    EstimabilityError naming its sweep.
     """
     exponent = 0.5 / (1.0 - problem.p)
     # the smaller steps of strongly negative p get proportionally more sweeps
@@ -742,6 +774,8 @@ def _weight_sweeps(problem: _Criterion, doses, wd, wc, F, gap):
     for sweep in range(sweeps + 1):
         res = problem.analyze(problem.matrix(doses, wd, wc, F))
         if res is None:
+            if sweep:
+                raise EstimabilityError(f"weight sweep {sweep} lost estimability of the contrast")
             return None
         _, W, threshold = res[:3]
         rd = problem.rows(W, F) / threshold

@@ -14,6 +14,7 @@ from acdesign import (
     Design,
     DrugModel,
     Emax,
+    EstimabilityError,
     InducedDesign,
     KMatrix,
     MichaelisMenten,
@@ -403,11 +404,76 @@ def test_c_opt_numeric_matches_a_highs_elfving_lp(drug, c):
 
 
 def test_c_opt_numeric_rejects_a_zero_contrast():
-    from acdesign import EstimabilityError
-
     drug, _ = gouty_models("normal")
     with pytest.raises(EstimabilityError):
         c_opt_numeric(drug, np.zeros(3))
+
+
+def _emax_ac_problems():
+    """The Emax case studies with a one-point AC optimum, then 10 Emax draws per family."""
+    problems = [gouty_models("normal"), migraine_models("normal"), migraine_models("binomial")]
+    rng = np.random.default_rng(3)
+    for _ in range(10):
+        for family in _FAMILIES.values():
+            R = float(rng.choice([100.0, 200.0, 300.0]))
+            mean = Emax(float(rng.uniform(0.05, 0.3)), float(rng.uniform(0.3, 0.6)),
+                        float(rng.uniform(0.03, 0.15)) * R)
+            mu = mean.e0 + float(rng.uniform(0.05, 0.95)) * mean.emax * R / (mean.ed50 + R)
+            problems.append((DrugModel(family, mean, (0.0, R)), ControlModel(family, mu)))
+    return problems
+
+
+def test_one_point_certificate_returns_what_the_lp_returns(monkeypatch):
+    # the certificate only skips the LP: with it declined, the LP route must
+    # return the same solution to the last bit
+    from acdesign import solvers
+
+    problems = _emax_ac_problems()
+    contrasts = [response_gradient(drug, target_dose(drug, ctrl))[:3] for drug, ctrl in problems]
+    certified = [c_opt_numeric(drug, c) for (drug, _), c in zip(problems, contrasts)]
+    monkeypatch.setattr(solvers, "_one_point_certified", lambda *args: False)
+    assert certified == [c_opt_numeric(drug, c) for (drug, _), c in zip(problems, contrasts)]
+    assert {sol.case_tag for sol in certified} == {"one-point"}
+
+
+def test_certified_ac_optima_run_no_lp_and_verify_optimal(monkeypatch):
+    from acdesign import solvers
+
+    def fail(*args):
+        raise AssertionError("the Elfving LP ran")
+
+    monkeypatch.setattr(solvers, "minimax", fail)
+    for drug, ctrl in _emax_ac_problems():
+        design = ac_optimal(drug, ctrl)
+        assert len(design.drug_doses) == 1
+        assert verify(design, drug, ctrl, CriterionSpec("ac"), grid_size=512).verdict == "optimal"
+
+
+def test_one_point_certificate_declines_range_ends_and_spread_optima(monkeypatch):
+    from acdesign import solvers
+
+    calls = []
+    minimax = solvers.minimax
+
+    def counted(*args):
+        calls.append(args)
+        return minimax(*args)
+
+    monkeypatch.setattr(solvers, "minimax", counted)
+    drug, ctrl = gouty_models("normal")
+    L, R = drug.dose_range
+    grid = np.linspace(L, R, solvers.LP_GRID_SIZE)
+    h = 1e-6 * (R - L)
+    for d in (L + 0.5 * h, R - 0.5 * h):
+        assert not solvers._one_point_certified(drug, grid, d)
+        c_opt_numeric(drug, drug.mean.gradient(d))
+    assert len(calls) == 2
+    # the gouty negative binomial target-dose optimum is not a one-point design
+    drug, ctrl = gouty_models("negative_binomial")
+    c = response_gradient(drug, target_dose(drug, ctrl))[:3]
+    assert not solvers._one_point_certified(drug, grid, solvers._one_point_candidate(drug, c)[0])
+    assert len(c_opt_numeric(drug, c).doses) > 1
+    assert len(calls) == 3
 
 
 # ---------------------------------------------------------------------------
@@ -767,6 +833,25 @@ def test_numeric_solve_adds_the_worst_point_for_0_lt_p_lt_1(monkeypatch, name, p
     res = numeric_solve(*_CASE_STUDIES[name](), CriterionSpec("phi_p", p))
     assert (res.stop_reason, res.report.verdict) == ("certified", "optimal")
     assert len(rounds) == (2 if (name, p) == ("gouty-negbin", 0.5) else 1)
+
+
+def test_numeric_solve_names_the_design_that_lost_estimability():
+    # at p = 0.9 the sweeps' damping exponent is 5: the uniform grid design
+    # estimates this stacked contrast and the state after one sweep does not
+    drug = DrugModel(Normal(0.0025), MichaelisMenten(0.6318965024689639, 38.08586843051377),
+                     (0.0, 300.0))
+    ctrl = ControlModel(Normal(0.0025), 0.24833992465803964)
+    k11 = np.zeros((drug.n_params, 2))
+    k11[0, 0] = k11[1, 1] = 1.0
+    k22 = np.zeros((ctrl.n_params, 2))
+    k22[0, 0] = -1.0
+    spec = CriterionSpec("phi_p", 0.9, KMatrix.stacked(k11, k22))
+    with pytest.raises(EstimabilityError, match="weight sweep 1 lost estimability"):
+        numeric_solve(drug, ctrl, spec, SolveOptions(grid_size=129, max_iterations=150))
+    # two grid doses cannot estimate the three Emax parameters
+    with pytest.raises(EstimabilityError, match="the uniform grid design does not"):
+        numeric_solve(*gouty_models("normal"), CriterionSpec("phi_p", 0.0),
+                      SolveOptions(grid_size=2))
 
 
 def _contrast(kind, drug, ctrl):
