@@ -33,6 +33,8 @@ class KMatrix:
     def __post_init__(self):
         object.__setattr__(self, "matrix", np.atleast_2d(np.asarray(self.matrix, float)))
         m = self.matrix
+        if not np.all(np.isfinite(m)):
+            raise DesignError("contrast matrix entries must be finite")
         if np.linalg.matrix_rank(m) < m.shape[1]:
             raise DesignError("contrast matrix must have full column rank")
 
@@ -241,10 +243,17 @@ def ac_contrast(drug: DrugModel, control: ControlModel) -> KMatrix:
 def resolve_spec(
     spec: CriterionSpec, drug: DrugModel, control: ControlModel
 ) -> tuple[KMatrix, float]:
-    """(K, p) of a criterion: AC is phi_{-1} for ac_contrast; K defaults to the block identity."""
+    """(K, p) of a criterion: AC is phi_{-1} for ac_contrast; K defaults to the block identity.
+
+    A K with a row count other than s1 + s2, or a k11 without s1 rows,
+    raises DesignError.
+    """
     if spec.kind == "ac":
         return ac_contrast(drug, control), -1.0
-    K = spec.K if spec.K is not None else KMatrix.block_identity(drug.n_params, control.n_params)
+    s1, s2 = drug.n_params, control.n_params
+    K = spec.K if spec.K is not None else KMatrix.block_identity(s1, s2)
+    if K.matrix.shape[0] != s1 + s2 or (K.k11 is not None and K.k11.shape[0] != s1):
+        raise DesignError(f"the contrast needs {s1} drug rows and {s2} control rows")
     return K, spec.p
 
 

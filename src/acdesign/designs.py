@@ -30,7 +30,9 @@ class Design:
         if not self.points:
             raise DesignError("empty design")
         w = np.asarray(self.weights, float)
-        if np.any(w <= 0):
+        if not all(math.isfinite(d) for d, _ in self.points):
+            raise DesignError("doses must be finite")
+        if not np.all(w > 0):  # a NaN weight fails here, an infinite one the sum
             raise DesignError("weights must be strictly positive")
         if abs(w.sum() - 1.0) > 1e-9:
             raise DesignError(f"weights sum to {w.sum()!r}, not 1")
@@ -53,18 +55,21 @@ class Design:
         """Build a design, merging drug doses closer than merge_tol.
 
         Numeric solvers produce near-duplicate support points; merging sums
-        their weights at the weight-averaged dose.  Weights are renormalized
-        unless they sum to 1 within WEIGHT_SUM_TOL already, so a design read
-        back from the file it was written to is the same to the last bit.
+        their weights at the weight-averaged dose.  Points of weight 0 are
+        dropped; a negative or non-finite weight raises DesignError, and so
+        do, through the design's own checks, an arm other than 0 and 1 and
+        a second control point.  Weights are renormalized unless they sum to
+        1 within WEIGHT_SUM_TOL already, so a design read back from the file
+        it was written to is the same to the last bit.
         """
+        if not all(0.0 <= w < math.inf for w in weights):
+            raise DesignError("weights must be finite and nonnegative")
         drug = [(d, w) for (d, a), w in zip(points, weights) if a == ARM_DRUG and w > 0]
-        wc = sum(w for (_, a), w in zip(points, weights) if a == ARM_CONTROL)
+        # the control's dose column means nothing; other arms stay to be rejected
+        other = [((0.0, a), w) for (_, a), w in zip(points, weights) if a != ARM_DRUG and w > 0]
         merged = merge_support(drug, merge_tol)
-        pts = [(d, ARM_DRUG) for d, _ in merged]
-        wts = [w for _, w in merged]
-        if wc > 0:
-            pts.append((0.0, ARM_CONTROL))
-            wts.append(wc)
+        pts = [(d, ARM_DRUG) for d, _ in merged] + [pt for pt, _ in other]
+        wts = [w for _, w in merged] + [w for _, w in other]
         total = sum(wts)
         if abs(total - 1.0) > WEIGHT_SUM_TOL:
             wts = [w / total for w in wts]

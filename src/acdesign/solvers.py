@@ -1,14 +1,15 @@
 """Construction of locally optimal designs.
 
 Closed forms cover the D-optimal designs for both mean curves under all four
-families and the Elfving-geometry c-optimal designs for the Michaelis-Menten
-curve.  A general c-optimal problem whose contrast lies on the gradient ray
-of an interior dose d* first tries the one-point design at d*, certified by
-an exact tangent-line test of Elfving's theorem; otherwise it takes one
-Elfving LP, solved as a discrete Chebyshev fit by `scalar_opt.minimax`,
-then closed-form support weights.  Arbitrary contrasts and p take one
-weight solve on a dose grid, then Newton steps on doses and weights
-together.
+families and the supports of the Elfving-geometry c-optimal designs for the
+Michaelis-Menten curve.  A general c-optimal problem whose contrast lies on
+the gradient ray of an interior dose d* first tries the one-point design at
+d*, certified by an exact tangent-line test of Elfving's theorem; otherwise
+it takes one Elfving LP, solved as a discrete Chebyshev fit by
+`scalar_opt.minimax`, for its support.  Every c-optimal support then takes
+its weights, signs and gamma from one least-squares solve
+(`_finish_elfving`).  Arbitrary contrasts and p take one weight solve on a
+dose grid, then Newton steps on doses and weights together.
 Joint designs are assembled from drug-only solutions by the allocation rule
 w_control = 1/(1+rho_p).  The information matrix is block diagonal, so this
 holds for any pairing of drug and control families.
@@ -133,16 +134,12 @@ class SolveResult:
 # closed-form D-optimal designs
 # ---------------------------------------------------------------------------
 
-def _dimension_share(drug: DrugModel, control: ControlModel) -> float:
-    """Control weight t2/(t1+t2) of a D-optimal joint design."""
-    return control.n_params / (drug.n_params + control.n_params)
-
-
 def d_opt_mm(drug: DrugModel, control: ControlModel) -> Design:
     """Locally D-optimal design for a Michaelis-Menten mean curve.
 
     Two drug doses: a family-specific interior dose (clipped at L) and the
-    right endpoint.  The control share follows the parameter dimensions.
+    right endpoint.  The control share follows the parameter dimensions
+    (`compose_active_control` at p = 0).
     """
     if not isinstance(drug.mean, MichaelisMenten):
         raise UnsupportedCaseError("d_opt_mm needs a Michaelis-Menten mean")
@@ -172,7 +169,8 @@ def d_opt_mm(drug: DrugModel, control: ControlModel) -> Design:
     lo = max(L, inner)
     if lo >= R:
         raise InfeasibleGeometryError("interior dose collapses onto the right endpoint")
-    return InducedDesign((lo, R), (0.5, 0.5)).as_design(_dimension_share(drug, control))
+    K = KMatrix.block_identity(drug.n_params, control.n_params)
+    return compose_active_control(InducedDesign((lo, R), (0.5, 0.5)), drug, control, K, 0.0)
 
 
 def d_opt_emax(drug: DrugModel, control: ControlModel) -> Design:
@@ -220,8 +218,9 @@ def d_opt_emax(drug: DrugModel, control: ControlModel) -> Design:
             f"interior dose {inner:.6g} falls outside ({L}, {R})"
         )
     third = 1.0 / 3.0
-    return InducedDesign((L, inner, R), (third, third, third)).as_design(
-        _dimension_share(drug, control)
+    K = KMatrix.block_identity(drug.n_params, control.n_params)
+    return compose_active_control(
+        InducedDesign((L, inner, R), (third, third, third)), drug, control, K, 0.0
     )
 
 
@@ -264,154 +263,83 @@ def compose_active_control(
 # c-optimal designs: Michaelis-Menten geometry
 # ---------------------------------------------------------------------------
 
-def _two_point_weight(drug: DrugModel, x: float, dstar: float, upper_gap: float) -> float:
-    """Shared form of the two-point weight at the inner dose x (pair {x, R}).
-
-    upper_gap is |x - dstar| with the sign convention of the active case;
-    both published variants reduce to this expression.
-    """
-    _, R = drug.dose_range
-    ed50 = drug.mean.ed50
-    # with f(d) = v(d) grad(d), v(d) d = f_1(d) (ed50 + d), finite at d = 0
-    n1 = drug.regression_vector(R)[0] * (ed50 + R) * (R - dstar) * (ed50 + x) ** 2
-    n2 = drug.regression_vector(x)[0] * (ed50 + x) * upper_gap * (ed50 + R) ** 2
-    return n1 / (n1 + n2)
-
-
-def _mm_dose_from_ray(drug: DrugModel, c: np.ndarray) -> float:
-    """Recover the dose whose gradient ray carries c (MM curve only)."""
-    mm = drug.mean
-    if abs(c[1]) < 1e-300:
-        raise UnsupportedCaseError("contrast has no ed50 component; not a gradient ray")
-    d = -mm.emax * c[0] / c[1] - mm.ed50
-    if d <= 0:
-        raise InfeasibleGeometryError(f"implied target dose {d:.6g} is not positive")
-    g = mm.gradient(d)
-    scale = c[0] / g[0]
-    if np.max(np.abs(c - scale * g)) > 1e-8 * (1.0 + np.max(np.abs(c))):
-        raise UnsupportedCaseError("contrast is not a scalar multiple of a gradient")
-    return d
-
-
 def c_opt_elfving_2d(drug: DrugModel, c_vector: np.ndarray) -> ElfvingSolution:
     """c-optimal induced design for a Michaelis-Menten curve.
 
-    The contrast must lie on the gradient ray of some dose d*, which covers
-    every target-dose problem.  The support pattern follows the family's
-    Elfving-set geometry: a one-point design at d* when the ray meets the
-    set's curved boundary, otherwise two support points involving a
-    tangency threshold or the range endpoints.
+    The contrast must lie on the gradient ray of some dose d* in the range
+    (`_one_point_candidate`), which covers every target-dose problem.  The
+    support follows the family's Elfving-set geometry: d* alone when the ray
+    meets the set's curved boundary, otherwise a tangency threshold and R,
+    or both range ends.  `_finish_elfving` takes the weights from it.
     """
     if not isinstance(drug.mean, MichaelisMenten):
         raise UnsupportedCaseError("Elfving closed forms cover the MM curve only")
     c = np.asarray(c_vector, float).reshape(-1)
     if c.size != 2:
         raise UnsupportedCaseError("MM c-optimal problems are two-dimensional")
+    dstar = _one_point_candidate(drug, c)
+    if dstar is None:
+        raise UnsupportedCaseError("contrast is not the gradient ray of a dose in the range")
     L, R = drug.dose_range
     ed50, emax = drug.mean.ed50, drug.mean.emax
-    dstar = _mm_dose_from_ray(drug, c)
-    if not (L - 1e-9 * (R - L) <= dstar <= R + 1e-9 * (R - L)):
-        raise InfeasibleGeometryError(f"implied target dose {dstar:.6g} outside [{L}, {R}]")
-    dstar = min(max(dstar, L), R)
     fam = drug.family
-
+    # d* outside [lo, hi] takes the support {lo, R} or {hi, R}
     if isinstance(fam, Normal):
         raw = (math.sqrt(2.0) * R**2 * ed50 + (math.sqrt(2.0) - 1.0) * R * ed50**2) / (
             2.0 * R**2 + 4.0 * R * ed50 + ed50**2
         )
-        xstar = max(L, raw)
-        if xstar <= dstar:
-            doses, weights, tag = [dstar], [1.0], "one-point"
-        else:
-            w1 = _two_point_weight(drug, xstar, dstar, xstar - dstar)
-            doses, weights, tag = [xstar, R], [w1, 1.0 - w1], "left-threshold"
+        lo, hi = max(L, raw), R
     elif isinstance(fam, NegativeBinomial):
-        w1 = _two_point_weight(drug, L, dstar, dstar - L)
-        doses, weights, tag = [L, R], [w1, 1.0 - w1], "two-endpoint"
+        return _finish_elfving(drug, c, [L, R], "two-endpoint")
     elif isinstance(fam, Binomial):
         s = math.sqrt(1.0 - drug.mean_value(R))
-        x1 = max(L, ed50 * (1.0 - s) / (2.0 * emax - 1.0 + s))
+        lo = max(L, ed50 * (1.0 - s) / (2.0 * emax - 1.0 + s))
         den2 = 2.0 * emax - 1.0 - s
-        x2 = R if den2 <= 0 else min(R, ed50 * (1.0 + s) / den2)
-        if x1 >= R:
+        hi = R if den2 <= 0 else min(R, ed50 * (1.0 + s) / den2)
+        if lo >= R:
             raise InfeasibleGeometryError("lower tangency threshold beyond the dose range")
-        if dstar < x1:
-            w1 = _two_point_weight(drug, x1, dstar, x1 - dstar)
-            doses, weights, tag = [x1, R], [w1, 1.0 - w1], "left-threshold"
-        elif dstar > x2:
-            w1 = _two_point_weight(drug, x2, dstar, dstar - x2)
-            doses, weights, tag = [x2, R], [w1, 1.0 - w1], "right-threshold"
-        else:
-            doses, weights, tag = [dstar], [1.0], "one-point"
     elif isinstance(fam, Poisson):
-        xstar = max(L, R * ed50 / (3.0 * R + 4.0 * ed50))
-        if xstar <= dstar:
-            doses, weights, tag = [dstar], [1.0], "one-point"
-        else:
-            w1 = _two_point_weight(drug, xstar, dstar, xstar - dstar)
-            doses, weights, tag = [xstar, R], [w1, 1.0 - w1], "left-threshold"
+        lo, hi = max(L, R * ed50 / (3.0 * R + 4.0 * ed50)), R
     else:
         raise UnsupportedCaseError(f"unknown family {fam!r}")
-
-    # drop degenerate zero weights (d* at a support point)
-    keep = [i for i, w in enumerate(weights) if w > 1e-14]
-    doses = [doses[i] for i in keep]
-    weights = [weights[i] for i in keep]
-    total = sum(weights)
-    weights = [w / total for w in weights]
-    return _finish_elfving(drug, c, doses, weights, tag)
+    if dstar < lo:
+        return _finish_elfving(drug, c, [lo, R], "left-threshold")
+    if dstar > hi:
+        return _finish_elfving(drug, c, [hi, R], "right-threshold")
+    return _finish_elfving(drug, c, [dstar], "one-point")
 
 
-def _finish_elfving(
-    drug: DrugModel,
-    c: np.ndarray,
-    doses: list[float],
-    weights: list[float],
-    tag: str,
-) -> ElfvingSolution:
-    """Attach gamma, signs and delta, enforcing the boundary representation."""
+def _finish_elfving(drug: DrugModel, c: np.ndarray, doses, tag: str) -> ElfvingSolution:
+    """The c-optimal design on the support `doses` in Elfving's representation.
+
+    One least-squares solve of F^T a = c (`_support_delta`) gives the
+    weights |a|/sum|a|, the signs sign(a), gamma = 1/sum|a| and the
+    variance bound (sum|a|)^2; doses whose weight vanishes are dropped.
+    The bound must match c^T M1^+ c of the design it describes.
+    """
     F = drug.regression_rows(doses)
-    gamma, signs = _representation(F.T, c, weights)
+    delta, a = _support_delta(F, c)
+    keep = np.abs(a) > 1e-12 * math.sqrt(delta)  # sqrt(delta) = sum|a|; inf keeps none
+    doses, F, a = np.asarray(doses, float)[keep], F[keep], a[keep]
+    total = float(np.abs(a).sum())
+    weights = np.abs(a) / total
     M1 = _Information(drug).matrix(doses, weights, F=F)[: c.size, : c.size]
-    delta = float(c @ pseudo_inverse(M1) @ c)
-    if abs(delta * gamma**2 - 1.0) > 1e-6:
+    if not (np.isfinite(delta) and abs(float(c @ pseudo_inverse(M1) @ c) / total**2 - 1.0) <= 1e-6):
         raise InfeasibleGeometryError(
             "Elfving representation inconsistent with the variance bound"
         )
     return ElfvingSolution(
         tuple(float(d) for d in doses),
         tuple(float(w) for w in weights),
-        gamma,
-        signs,
+        1.0 / total,
+        tuple(int(e) for e in np.sign(a)),
         tag,
-        delta,
+        total**2,
     )
 
 
-def _representation(
-    F: np.ndarray, c: np.ndarray, weights: list[float]
-) -> tuple[float, tuple[int, ...]]:
-    """Solve gamma * c = sum eps_i w_i f_i for gamma > 0 and signs."""
-    k = F.shape[1]
-    best = None
-    for mask in range(1 << k):
-        signs = [1 if (mask >> i) & 1 == 0 else -1 for i in range(k)]
-        combo = sum(s * w * F[:, i] for i, (s, w) in enumerate(zip(signs, weights)))
-        denom = float(c @ c)
-        gamma = float(combo @ c) / denom
-        if gamma <= 0:
-            continue
-        resid = float(np.max(np.abs(gamma * c - combo)))
-        if resid <= 1e-8 * (1.0 + float(np.max(np.abs(combo)))):
-            if best is None or resid < best[2]:
-                best = (gamma, tuple(signs), resid)
-    if best is None:
-        raise InfeasibleGeometryError("no sign pattern satisfies the Elfving identity")
-    return best[0], best[1]
-
-
 # ---------------------------------------------------------------------------
-# c-optimal designs: one Elfving LP, then closed-form support weights
+# c-optimal designs: one Elfving LP for the support
 # ---------------------------------------------------------------------------
 
 def _copt_lp(F: np.ndarray, c: np.ndarray) -> np.ndarray:
@@ -438,55 +366,59 @@ def c_opt_numeric(drug: DrugModel, c_vector: np.ndarray) -> ElfvingSolution:
     When the contrast lies on the gradient ray of an interior dose d*,
     `_one_point_certified` tests the one-point design at d* on the LP's
     dose grid and, if it holds, returns it without the LP.  Otherwise the
-    LP runs once on that grid, with d* added when it exists; `_copt_lp`
-    solves it as a minimax fit.  Its basic solution has at most
-    n_mean_params support points (Elfving 1952); golden-section moves of
-    the interior doses then lower the variance bound, with the optimal
-    weights on each trial support in closed form.  The one-point design at
-    d* is preferred whenever it attains the bound, since the LP can return
-    an equivalent spread representation of a flat boundary face.
+    LP runs once on that grid; `_copt_lp` solves it as a minimax fit.  Its
+    basic solution has at most n_mean_params support points (Elfving
+    1952); golden-section moves of the interior doses then lower the
+    variance bound of the support (`_support_delta`).  d* stays off the
+    grid: with it, the LP can return the declined one-point design when the
+    better support lies between grid doses, and one dose cannot be polished.
+    The one-point design at d* is still preferred whenever it attains the
+    bound, since the LP can return an equivalent spread representation of a
+    flat boundary face.  `_finish_elfving` weights the support it keeps.
     """
     c = np.asarray(c_vector, float).reshape(-1)
     if c.size != drug.n_mean_params:
         raise UnsupportedCaseError("contrast length must match the mean parameters")
     L, R = drug.dose_range
     doses = np.linspace(L, R, LP_GRID_SIZE)
-    one_point = _one_point_candidate(drug, c)
-    if one_point is not None:
-        if _one_point_certified(drug, doses, one_point[0]):
-            return _finish_elfving(drug, c, [one_point[0]], [1.0], "one-point")
-        doses = np.unique(np.append(doses, one_point[0]))
+    dstar = _one_point_candidate(drug, c)
+    if dstar is not None and _one_point_certified(drug, doses, dstar):
+        return _finish_elfving(drug, c, [dstar], "one-point")
     z = _copt_lp(drug.regression_rows(doses), c)
     supp = np.abs(z) > 1e-10 * np.max(np.abs(z))
-    sd, weights, delta = _polish_support(drug, c, doses[supp])
-    if one_point is not None:
-        d1, delta1 = one_point
-        if delta1 <= delta * (1.0 + 1e-6):
-            return _finish_elfving(drug, c, [d1], [1.0], "one-point")
-    return _finish_elfving(drug, c, sd, list(weights), "numeric")
+    sd, delta = _polish_support(drug, c, doses[supp])
+    if dstar is not None:
+        if _support_delta(drug.regression_rows([dstar]), c)[0] <= delta * (1.0 + 1e-6):
+            return _finish_elfving(drug, c, [dstar], "one-point")
+    return _finish_elfving(drug, c, sd, "numeric")
 
 
 def _support_delta(F: np.ndarray, c: np.ndarray) -> tuple[float, np.ndarray]:
-    """Least c^T M^- c over designs on the support with regression rows F.
+    """Least c^T M^- c over designs on the support with regression rows F, and a.
 
     For k <= m linearly independent rows with F^T a = c the optimum is
-    (sum |a|)^2 at weights |a| / sum |a| (Elfving 1952; Pukelsheim 1993).
-    Supports that lose rank or leave c outside their span (which happens
-    when a dose of a short support moves) count as infinitely bad.
+    (sum |a|)^2 at weights |a| / sum |a|, and gamma c = sum sign(a_i) w_i f_i
+    with gamma = 1/sum |a| is its Elfving representation (Elfving 1952;
+    Pukelsheim 1993, ch. 2).  Supports that lose rank or leave c outside
+    their span (which happens when a dose of a short support moves) count
+    as infinitely bad, with a = 0.
     """
     a, _, rank, _ = np.linalg.lstsq(F.T, c, rcond=None)
     if rank < F.shape[0] or np.max(np.abs(F.T @ a - c)) > 1e-9 * np.max(np.abs(c)):
         return np.inf, np.zeros(F.shape[0])
-    total = float(np.abs(a).sum())
-    return total**2, np.abs(a) / total
+    return float(np.abs(a).sum()) ** 2, a
 
 
 def _polish_support(drug: DrugModel, c: np.ndarray, doses):
-    """Refine interior support doses by golden-section on the variance bound."""
+    """Refine interior support doses by golden-section on the variance bound.
+
+    Returns the doses, those within 1e-9 (R - L) of a range end moved onto
+    it, and the bound.
+    """
     L, R = drug.dose_range
     doses = sorted(float(d) for d in doses)
     F = drug.regression_rows(doses)
-    delta, weights = _support_delta(F, c)
+    delta, _ = _support_delta(F, c)
     # only full supports keep the representation feasible while a dose moves
     if len(doses) >= c.size and np.isfinite(delta):
         span = 0.02 * (R - L)
@@ -509,21 +441,17 @@ def _polish_support(drug: DrugModel, c: np.ndarray, doses):
                     F[i] = drug.regression_vector(x_new)
                     delta = -m_new
             span *= 0.1
-        delta, weights = _support_delta(F, c)
     snap = 1e-9 * (R - L)
-    doses = [L if d - L <= snap else (R if R - d <= snap else d) for d in doses]
-    keep = weights > 1e-12
-    doses = [d for d, k in zip(doses, keep) if k]
-    weights = weights[keep] / weights[keep].sum()
-    return doses, weights, delta
+    return [L if d - L <= snap else (R if R - d <= snap else d) for d in doses], delta
 
 
-def _one_point_candidate(drug: DrugModel, c: np.ndarray) -> Optional[tuple[float, float]]:
-    """Dose whose regression vector is collinear with c, if one exists.
+def _one_point_candidate(drug: DrugModel, c: np.ndarray) -> Optional[float]:
+    """Dose in [L, R] whose regression vector is collinear with c, if one exists.
 
     The mean-curve gradient rays are inverted analytically (the gradient
     direction pins the dose through the saturation ratio); maximizing the
-    alignment angle instead would locate the dose only to sqrt(eps).
+    alignment angle instead would locate the dose only to sqrt(eps).  A dose
+    within 1e-9 (R - L) outside the range is moved onto its end.
     """
     L, R = drug.dose_range
     mean = drug.mean
@@ -539,16 +467,14 @@ def _one_point_candidate(drug: DrugModel, c: np.ndarray) -> Optional[tuple[float
         if not 0.0 < ratio < 1.0:
             return None
         d = mean.ed50 * ratio / (1.0 - ratio)
-    if d is None or not (L <= d <= R):
+    slack = 1e-9 * (R - L)
+    if d is None or not (L - slack <= d <= R + slack):
         return None
     g = mean.gradient(d)
     scale = float(c @ g) / float(g @ g)
     if float(np.max(np.abs(c - scale * g))) > 1e-9 * (1.0 + float(np.max(np.abs(c)))):
         return None
-    f = drug.regression_vector(d)
-    # c parallel to f, so c^T (f f^T)^+ c reduces to |c|^2 / |f|^2
-    delta = float(c @ c) / float(f @ f)
-    return d, delta
+    return min(max(d, L), R)
 
 
 def _one_point_certified(drug: DrugModel, grid: np.ndarray, dstar: float) -> bool:
@@ -584,9 +510,9 @@ def ac_optimal(drug: DrugModel, control: ControlModel) -> Design:
     Solves the induced c-optimal problem for the mean-curve gradient at the
     target dose (closed Elfving geometry for MM; for Emax the one-point
     design at the target dose when `c_opt_numeric` certifies it, otherwise
-    one Elfving LP, then closed-form support weights), then splits mass
-    between arms by the general rho_{-1} ratio, which reproduces the
-    published family-specific allocation formulas.
+    one Elfving LP; the weights of either support from `_finish_elfving`),
+    then splits mass between arms by the general rho_{-1} ratio, which
+    reproduces the published family-specific allocation formulas.
     """
     dstar = target_dose(drug, control)
     ctil = response_gradient(drug, dstar)
@@ -604,7 +530,10 @@ def _attach_c_control(
     """Joint c-optimal design for c = (c1, c2) from a c1-optimal induced design.
 
     The control weight is 1/(1 + sqrt(c1' M1^- c1 / c2' I2^- c2)), the
-    rho_{-1} split; a contrast without a control part gets none.
+    rho_{-1} split: `compose_active_control` for K = stacked(c1, c2) at
+    p = -1, in the closed form of a rank-one contrast, which skips the
+    eigendecompositions of rho_p.  A contrast without a control part gets
+    no control weight.
     """
     den = float(c2 @ pinv_contrast(control.fisher(), c2, "control part not estimable")[0])
     wc = 0.0
@@ -769,8 +698,9 @@ def _weight_sweeps(problem: _Criterion, doses, wd, wc, F, gap):
     EstimabilityError naming its sweep.
     """
     exponent = 0.5 / (1.0 - problem.p)
-    # the smaller steps of strongly negative p get proportionally more sweeps
-    sweeps = 100 if exponent > 0.2 else int(25 / exponent)
+    # the smaller steps of strongly negative p get proportionally more sweeps,
+    # a count that stays finite however negative p is
+    sweeps = 100 if exponent > 0.2 else int(min(25 / exponent, np.finfo(float).max))
     for sweep in range(sweeps + 1):
         res = problem.analyze(problem.matrix(doses, wd, wc, F))
         if res is None:

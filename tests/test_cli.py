@@ -246,14 +246,60 @@ def test_design_row_of_the_wrong_length_rejected(tmp_path, capsys, rows):
     assert _one_line_error(capsys)
 
 
+@pytest.mark.parametrize("rows", [
+    "10,0,-0.5\n0,1,1.5",
+    "0,0,0.25\n25,0,0.25\n300,0,0.25\n10,2,0.25",
+    "0,0,0.25\n25,0,0.25\n300,0,0.25\n0,1,0.125\n0,1,0.125",
+    "0,0,nan\n25,0,0.25\n300,0,0.25\n0,1,0.25",
+    "nan,0,0.25\n25,0,0.25\n300,0,0.25\n0,1,0.25",
+], ids=["negative-weight", "arm-2", "two-control-rows", "nan-weight", "nan-dose"])
+def test_invalid_design_row_rejected(tmp_path, capsys, rows):
+    # each of these rows used to be dropped, summed or kept silently
+    scn = write(tmp_path, "gouty.scn", GOUTY_NB)
+    design = tmp_path / "design.csv"
+    design.write_text(f"dose,arm,weight\n{rows}\n")
+    assert main(["verify", scn, str(design), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: invalid design in {design}: ") and err.count("\n") == 1
+
+
+def test_zero_weight_design_row_is_dropped(tmp_path):
+    design = tmp_path / "design.csv"
+    design.write_text("dose,arm,weight\n0,0,0.5\n25,0,0\n300,0,0.25\n0,1,0.25\n")
+    assert read_design_csv(design).points == ((0.0, 0), (300.0, 0), (0.0, 1))
+
+
+# a normal Emax drug (4 parameters) and a normal control (2 parameters)
+GOUTY_NORMAL = GOUTY_NORMAL_POISSON_CONTROL.replace("family = poisson", "sigma2 = 0.0025")
+
+
+@pytest.mark.parametrize("k11,k22,message", [
+    ("1,nan;0,1;0,0;0,0", "1;0", "finite"),
+    ("1;0;0", "1;0", "4 drug rows and 2 control rows"),
+    ("1;0;0;0;0", "1", "4 drug rows and 2 control rows"),
+], ids=["nan-entry", "five-rows", "five-drug-rows"])
+@pytest.mark.parametrize("command", ["solve", "verify", "efficiency"])
+def test_malformed_contrast_rejected(tmp_path, capsys, command, k11, k22, message):
+    text = GOUTY_NORMAL.replace("criterion.kind = d", "criterion.kind = phi_p\ncriterion.p = 0\n"
+                                f"criterion.k11 = {k11}\ncriterion.k22 = {k22}")
+    scn = write(tmp_path, "bad.scn", text)
+    design = tmp_path / "design.csv"
+    design.write_text("dose,arm,weight\n0,0,0.25\n25,0,0.25\n300,0,0.25\n0,1,0.25\n")
+    argv = {"solve": [scn, "--out", str(tmp_path / "out")],
+            "verify": [scn, str(design), "--out", str(tmp_path / "out")],
+            "efficiency": [scn, str(design)]}[command]
+    assert main([command] + argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("old,new", [
     ("control.mu = 0.9206", "control.mu = nan"),
     ("dose.max = 300", "dose.max = inf"),
 ], ids=["control-mu-nan", "dose-max-inf"])
 def test_non_finite_scenario_value_rejected(tmp_path, capsys, old, new):
     # a normal control, whose mean may be any real number
-    normal = GOUTY_NORMAL_POISSON_CONTROL.replace("family = poisson", "sigma2 = 0.0025")
-    scn = write(tmp_path, "bad.scn", normal.replace(old, new))
+    scn = write(tmp_path, "bad.scn", GOUTY_NORMAL.replace(old, new))
     assert main(["solve", scn, "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "finite" in err and err.count("\n") == 1
@@ -480,18 +526,31 @@ def test_closed_stdout_ends_quietly(tmp_path, command):
     argv = [command, "--out", str(tmp_path / "out")]
     if command == "solve":
         argv[1:1] = [write(tmp_path, "gouty.scn", GOUTY_NB), "--json"]
-    src = Path(acdesign.cli.__file__).resolve().parents[1]
-    path = os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])
-    env = dict(os.environ, PYTHONPATH=path)
     read_end, write_end = os.pipe()
     os.close(read_end)
     try:
-        run = subprocess.run([sys.executable, "-m", "acdesign.cli", *argv], stdout=write_end,
-                             stderr=subprocess.PIPE, env=env, timeout=300)
+        run = _fresh_process(argv, stdout=write_end, stderr=subprocess.PIPE)
     finally:
         os.close(write_end)
     assert run.returncode == acdesign.cli.EXIT_BROKEN_PIPE == 141
     assert run.stderr == b""
+
+
+def _fresh_process(argv, **kwargs):
+    """`python -m acdesign.cli argv` in a new interpreter that imports this package."""
+    src = Path(acdesign.cli.__file__).resolve().parents[1]
+    path = os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])
+    return subprocess.run([sys.executable, "-m", "acdesign.cli", *argv],
+                          env=dict(os.environ, PYTHONPATH=path), timeout=300, **kwargs)
+
+
+def test_extreme_finite_p_exits_without_a_traceback(tmp_path):
+    # p = -1e308 used to overflow the weight sweeps' count
+    text = GOUTY_NORMAL.replace("criterion.kind = d", "criterion.kind = phi_p\ncriterion.p = -1e308")
+    scn = write(tmp_path, "extreme.scn", text)
+    run = _fresh_process(["solve", scn, "--out", str(tmp_path / "out")], capture_output=True)
+    assert run.returncode in (2, 3)
+    assert b"Traceback" not in run.stderr
 
 
 @pytest.mark.parametrize("command,blocked", [

@@ -365,3 +365,22 @@ def test_rank_deficient_contrast_raises(K):
         KMatrix(K)
     with pytest.raises(DesignError):
         KMatrix.block(K, np.eye(2))
+
+
+def test_non_finite_contrast_raises():
+    for bad in (np.nan, np.inf):
+        with pytest.raises(DesignError, match="finite"):
+            KMatrix.block(np.array([[1.0, bad], [0.0, 1.0], [0.0, 0.0], [0.0, 0.0]]), np.eye(2))
+
+
+@pytest.mark.parametrize("K", [
+    KMatrix.block(np.eye(3)[:, :1], np.eye(2)[:, :1]),  # 5 rows for 4 + 2 parameters
+    KMatrix.block(np.eye(5)[:, :1], np.ones((1, 1))),  # 6 rows, 5 of them for the drug
+    KMatrix(np.eye(7)[:, :2]),
+], ids=["five-rows", "five-drug-rows", "seven-rows"])
+def test_contrast_of_the_wrong_shape_raises(K):
+    from acdesign.criteria import CriterionSpec, resolve_spec
+
+    drug, ctrl = gouty_models("normal")
+    with pytest.raises(DesignError, match="4 drug rows and 2 control rows"):
+        resolve_spec(CriterionSpec("phi_p", 0.0, K), drug, ctrl)

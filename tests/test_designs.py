@@ -65,6 +65,28 @@ def test_design_invariants():
         make_design([(1.0, ARM_DRUG, 1.5), (2.0, ARM_DRUG, -0.5)])
 
 
+@pytest.mark.parametrize("entries,message", [
+    ([(np.nan, ARM_DRUG, 0.5), (0.0, ARM_CONTROL, 0.5)], "finite"),
+    ([(np.inf, ARM_DRUG, 0.5), (0.0, ARM_CONTROL, 0.5)], "finite"),
+    ([(1.0, ARM_DRUG, np.nan), (2.0, ARM_DRUG, 0.5), (0.0, ARM_CONTROL, 0.5)], "positive"),
+    ([(1.0, ARM_DRUG, np.inf), (0.0, ARM_CONTROL, 0.5)], "sum"),
+], ids=["nan-dose", "inf-dose", "nan-weight", "inf-weight"])
+def test_design_rejects_non_finite_doses_and_weights(entries, message):
+    with pytest.raises(DesignError, match=message):
+        make_design(entries)
+
+
+@pytest.mark.parametrize("points,weights,message", [
+    ([(1.0, ARM_DRUG), (0.0, ARM_CONTROL)], [-0.5, 1.5], "nonnegative"),
+    ([(1.0, ARM_DRUG), (0.0, ARM_CONTROL)], [np.nan, 1.0], "finite"),
+    ([(1.0, ARM_DRUG), (2.0, 2), (0.0, ARM_CONTROL)], [0.4, 0.2, 0.4], "arm"),
+    ([(1.0, ARM_DRUG), (0.0, ARM_CONTROL), (0.0, ARM_CONTROL)], [0.5, 0.25, 0.25], "control"),
+], ids=["negative", "nan", "arm-2", "two-controls"])
+def test_from_points_rejects_what_it_used_to_drop_or_sum(points, weights, message):
+    with pytest.raises(DesignError, match=message):
+        Design.from_points(points, weights)
+
+
 def test_from_points_merges_near_duplicates():
     des = Design.from_points(
         [(1.0, ARM_DRUG), (1.0 + 1e-9, ARM_DRUG), (0.0, ARM_CONTROL)],

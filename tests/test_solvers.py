@@ -37,6 +37,8 @@ from acdesign import (
     target_dose,
     verify,
 )
+from acdesign.designs import drug_info_matrix
+from acdesign.models import target_dose_grad
 from acdesign.reproduce import gouty_models, migraine_models
 from acdesign.solvers import SolveOptions
 
@@ -301,15 +303,24 @@ def test_elfving_matches_lp_oracle():
 
 
 def test_elfving_identity_certificate():
+    # gamma c = sum eps_i w_i f(d_i), and the variance bound is
+    # delta = 1/gamma^2 = c' M1^+ c, on every branch of both routes
     drug = DrugModel(Binomial(), MichaelisMenten(0.5, 2.0), (0.0, 50.0))
-    for dstar in (0.5, 3.0, 20.0):
-        c = _c_for(drug, dstar)
-        sol = c_opt_elfving_2d(drug, c)
+    steep = DrugModel(Binomial(), MichaelisMenten(0.95, 2.0), (0.0, 50.0))
+    cases = [(model, _c_for(model, dstar), c_opt_elfving_2d)
+             for model, dstar in ((drug, 0.5), (drug, 3.0), (drug, 20.0), (steep, 0.5),
+                                  (steep, 2.0), (steep, 10.0))]
+    cases.append((gouty_models("negative_binomial")[0], np.array([0.0, 0.0, 1.0]), c_opt_numeric))
+    for model, c, solve in cases:
+        sol = solve(model, c)
         combo = sum(
-            s * w * drug.regression_vector(d)
+            s * w * model.regression_vector(d)
             for s, w, d in zip(sol.signs, sol.weights, sol.doses)
         )
         assert np.max(np.abs(sol.gamma * c - combo)) <= 1e-8 * (1 + np.max(np.abs(combo)))
+        M1 = drug_info_matrix(sol.induced(), model)[: c.size, : c.size]
+        assert sol.gamma**2 * sol.delta == pytest.approx(1.0, rel=1e-12)
+        assert sol.delta == pytest.approx(float(c @ np.linalg.pinv(M1) @ c), rel=1e-8)
 
 
 def test_elfving_binomial_three_cases_vs_lp():
@@ -353,6 +364,91 @@ def test_elfving_rejects_non_gradient_contrast():
         c_opt_elfving_2d(drug, np.array([1.0, 1.0]))  # positive ed50 slot
 
 
+def _published_two_point_weight(drug, x, dstar, gap):
+    """Weight at the inner dose x of the two-point c-optimal design {x, R}.
+
+    The published formula for the Michaelis-Menten curve; gap is |x - d*|.
+    With f(d) = v(d) grad(d), v(d) d = f_1(d) (ed50 + d) stays finite at d = 0.
+    """
+    _, R = drug.dose_range
+    ed50 = drug.mean.ed50
+    n1 = drug.regression_vector(R)[0] * (ed50 + R) * (R - dstar) * (ed50 + x) ** 2
+    n2 = drug.regression_vector(x)[0] * (ed50 + x) * gap * (ed50 + R) ** 2
+    return n1 / (n1 + n2)
+
+
+@pytest.mark.parametrize("drug, dstar, tag", [
+    (DrugModel(Normal(1.0), MichaelisMenten(2.0, 2.0), (0.1, 50.0)), 0.5, "left-threshold"),
+    (DrugModel(Poisson(), MichaelisMenten(2.5, 1.5), (0.02, 10.0)), 0.2, "left-threshold"),
+    (DrugModel(Binomial(), MichaelisMenten(0.95, 2.0), (0.0, 50.0)), 0.5, "left-threshold"),
+    (DrugModel(Binomial(), MichaelisMenten(0.95, 2.0), (0.0, 50.0)), 10.0, "right-threshold"),
+    (DrugModel(Binomial(), MichaelisMenten(0.95, 2.0), (0.0, 50.0)), 30.0, "right-threshold"),
+    (DrugModel(NegativeBinomial(4), MichaelisMenten(1.0, 0.5), (0.0, 10.0)), 0.75, "two-endpoint"),
+    (DrugModel(NegativeBinomial(10), MichaelisMenten(0.6, 5.0), (0.0, 100.0)), 40.0,
+     "two-endpoint"),
+])
+def test_two_point_elfving_weights_match_the_published_formula(drug, dstar, tag):
+    # the closed forms give only the support; its weights come from the
+    # least-squares Elfving finish and must equal the published formula
+    sol = c_opt_elfving_2d(drug, _c_for(drug, dstar))
+    assert sol.case_tag == tag and len(sol.doses) == 2
+    x = sol.doses[0]
+    expected = _published_two_point_weight(drug, x, dstar, abs(x - dstar))
+    assert abs(sol.weights[0] - expected) <= 1e-12
+
+
+def test_one_point_candidate_moves_a_dose_just_outside_the_range_onto_it():
+    from acdesign import solvers
+
+    drug = DrugModel(Poisson(), MichaelisMenten(2.5, 1.5), (0.02, 10.0))
+    L, R = drug.dose_range
+    for d, end in ((L - 5e-10 * (R - L), L), (R + 5e-10 * (R - L), R)):
+        assert solvers._one_point_candidate(drug, drug.mean.gradient(d)) == end
+    assert c_opt_elfving_2d(drug, drug.mean.gradient(R + 5e-10 * (R - L))).doses == (R,)
+    with pytest.raises(UnsupportedCaseError):
+        c_opt_elfving_2d(drug, drug.mean.gradient(R + 1e-6 * (R - L)))
+
+
+def _rank_one_controls():
+    """(induced design, drug, control, c1, c2) of the target-dose problems and of draws."""
+    problems = [gouty_models("normal"), gouty_models("negative_binomial"),
+                migraine_models("normal"), migraine_models("binomial")]
+    problems += _emax_ac_problems()[3:] + [m for seed in (11, 12) for m in _mm_draws(seed)]
+    rng = np.random.default_rng(7)
+    for drug, ctrl in problems:
+        g1, g2 = target_dose_grad(drug, ctrl)
+        induced = ac_optimal(drug, ctrl).induced()
+        yield induced, drug, ctrl, g1, g2
+        # a random contrast on a spread design
+        L, R = drug.dose_range
+        spread = InducedDesign(tuple(np.linspace(L, R, 5)), (0.2,) * 5)
+        c1 = np.zeros(drug.n_params)
+        c1[: drug.n_mean_params] = rng.normal(size=drug.n_mean_params)
+        yield spread, drug, ctrl, c1, rng.normal(size=ctrl.n_params)
+
+
+def test_attach_c_control_is_compose_at_p_minus_one():
+    # _attach_c_control is compose_active_control's rank-one p = -1 case in
+    # closed form; both must give the same design
+    from acdesign import solvers
+
+    count = 0
+    for induced, drug, ctrl, c1, c2 in _rank_one_controls():
+        attached = solvers._attach_c_control(induced, drug, ctrl, c1, c2)
+        K = KMatrix.stacked(c1.reshape(-1, 1), c2.reshape(-1, 1))
+        composed = compose_active_control(induced, drug, ctrl, K, -1.0)
+        assert attached.points == composed.points
+        assert np.asarray(attached.weights) == pytest.approx(composed.weights, rel=2e-15)
+        count += 1
+    assert count >= 100
+    # a contrast without a control part puts no weight on the control
+    drug, ctrl = gouty_models("normal")
+    induced = ac_optimal(drug, ctrl).induced()
+    c1 = target_dose_grad(drug, ctrl)[0]
+    design = solvers._attach_c_control(induced, drug, ctrl, c1, np.zeros(ctrl.n_params))
+    assert design.control_weight == 0.0
+
+
 def _highs_c_opt(drug, c):
     """c_opt_numeric with its Elfving LP solved by HiGHS: (support doses, delta)."""
     from scipy.optimize import linprog
@@ -361,9 +457,7 @@ def _highs_c_opt(drug, c):
 
     L, R = drug.dose_range
     doses = np.linspace(L, R, solvers.LP_GRID_SIZE)
-    one_point = solvers._one_point_candidate(drug, c)
-    if one_point is not None:
-        doses = np.unique(np.append(doses, one_point[0]))
+    dstar = solvers._one_point_candidate(drug, c)
     F = drug.regression_rows(doses)
     n, s = F.shape
     # maximize gamma with gamma * c = F^T (x+ - x-), sum(x+ + x-) = 1, x >= 0
@@ -374,9 +468,12 @@ def _highs_c_opt(drug, c):
     assert res.status == 0
     z = res.x[:n] - res.x[n:2 * n]
     supp = np.abs(z) > 1e-10 * np.max(np.abs(z))
-    support, _, delta = solvers._polish_support(drug, c, doses[supp])
-    if one_point is not None and one_point[1] <= delta * (1.0 + 1e-6):
-        return [one_point[0]], one_point[1]
+    support, delta = solvers._polish_support(drug, c, doses[supp])
+    if dstar is not None:
+        f = drug.regression_rows([dstar])[0]
+        delta1 = float(c @ c) / float(f @ f)  # c^T (f f^T)^+ c for c parallel to f
+        if delta1 <= delta * (1.0 + 1e-6):
+            return [dstar], delta1
     return support, delta
 
 
@@ -471,7 +568,7 @@ def test_one_point_certificate_declines_range_ends_and_spread_optima(monkeypatch
     # the gouty negative binomial target-dose optimum is not a one-point design
     drug, ctrl = gouty_models("negative_binomial")
     c = response_gradient(drug, target_dose(drug, ctrl))[:3]
-    assert not solvers._one_point_certified(drug, grid, solvers._one_point_candidate(drug, c)[0])
+    assert not solvers._one_point_certified(drug, grid, solvers._one_point_candidate(drug, c))
     assert len(c_opt_numeric(drug, c).doses) > 1
     assert len(calls) == 3
 

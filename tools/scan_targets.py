@@ -1,4 +1,4 @@
-"""Scan the one-point certificate of c_opt_numeric on target-dose problems.
+"""Scan the c-optimal routes of the target-dose problems.
 
     PYTHONPATH=src python3 tools/scan_targets.py
 
@@ -6,10 +6,17 @@ The scan runs `ac_optimal` on the 4 case studies and on 60 Emax draws per
 family (`draw_spec` of bench/workloads.py with numpy's default_rng(3) and
 control means 5-95 % of the way up the curve, one draw per family in each
 of 60 rounds).  Each design is compared with the one the Elfving LP route
-returns when the certificate is declined, and verified at grid 512.  It
-prints how many `c_opt_numeric` calls the certificate settled and how many
-took the LP, and names every problem whose two designs differ or whose
-verdict is not optimal.  Exits 1 if any does.
+returns when the one-point certificate of `c_opt_numeric` is declined, and
+verified at grid 512.  It prints how many `c_opt_numeric` calls the
+certificate settled and how many took the LP.
+
+It then runs 60 Michaelis-Menten draws per family (default_rng(4), same
+shares) through the closed forms of `c_opt_elfving_2d`: each variance bound
+must be within 1e-6 (relative) of `c_opt_numeric`'s, and the `ac_optimal`
+design must verify optimal at grid 512.  It prints the count of each
+support pattern.
+
+Every problem that misses a check is named; the scan exits 1 if any does.
 """
 
 import sys
@@ -20,24 +27,54 @@ ROOT = Path(__file__).resolve().parents[1]
 DRAWS = 60
 
 
-def models():
-    """(name, drug, control) of the case studies, then of the Emax draws."""
+def draws(curve: str, seed: int):
+    """(name, drug, control) of DRAWS rounds of one draw per family."""
     import numpy as np
 
     sys.path.insert(0, str(ROOT / "bench"))
     from workloads import FAMILIES, draw_spec, program_models
 
+    rng = np.random.default_rng(seed)
+    for k in range(DRAWS):
+        for fam in FAMILIES:
+            spec = draw_spec(rng, curve, fam, u=(0.05, 0.95))
+            yield (f"{curve}-{fam}-{k}", *program_models(spec))
+
+
+def models():
+    """(name, drug, control) of the case studies, then of the Emax draws."""
     from acdesign.reproduce import gouty_models, migraine_models
 
     for fam in ("normal", "negative_binomial"):
         yield (f"gouty-{fam}", *gouty_models(fam))
     for fam in ("normal", "binomial"):
         yield (f"migraine-{fam}", *migraine_models(fam))
-    rng = np.random.default_rng(3)
-    for k in range(DRAWS):
-        for fam in FAMILIES:
-            spec = draw_spec(rng, "emax", fam, u=(0.05, 0.95))
-            yield (f"emax-{fam}-{k}", *program_models(spec))
+    yield from draws("emax", 3)
+
+
+def scan_closed_forms() -> int:
+    """Check the Michaelis-Menten closed forms against the LP; the misses."""
+    from collections import Counter
+
+    from acdesign import (CriterionSpec, ac_optimal, c_opt_elfving_2d, c_opt_numeric,
+                          response_gradient, target_dose, verify)
+
+    spec = CriterionSpec("ac")
+
+    tags, bad = Counter(), 0
+    for name, drug, control in draws("mm", 4):
+        c = response_gradient(drug, target_dose(drug, control))[: drug.n_mean_params]
+        closed, lp = c_opt_elfving_2d(drug, c), c_opt_numeric(drug, c)
+        verdict = verify(ac_optimal(drug, control), drug, control, spec, grid_size=512).verdict
+        tags[closed.case_tag] += 1
+        if abs(closed.delta - lp.delta) > 1e-6 * lp.delta or verdict != "optimal":
+            bad += 1
+            print(f"  {name}: delta {closed.delta:.10g} against the LP's {lp.delta:.10g}, "
+                  f"{verdict}")
+    patterns = ", ".join(f"{n} {tag}" for tag, n in sorted(tags.items()))
+    print(f"  {sum(tags.values())} Michaelis-Menten draws: {patterns}; "
+          f"{bad} differ from the LP or not optimal")
+    return bad
 
 
 def main() -> int:
@@ -67,6 +104,7 @@ def main() -> int:
     # each problem makes one c_opt_numeric call
     print(f"  {problems} problems: {sum(outcomes)} certified, "
           f"{problems - sum(outcomes)} took the LP, {bad} differ or not optimal")
+    bad += scan_closed_forms()
     print(f"  {time.perf_counter() - start:.1f} s")
     return 1 if bad else 0
 
