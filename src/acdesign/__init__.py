@@ -53,7 +53,6 @@ from .models import (
     NegativeBinomial,
     Normal,
     Poisson,
-    drug_response,
     response_gradient,
     target_dose,
     target_dose_grad,
@@ -111,7 +110,6 @@ __all__ = [
     "d_opt_emax",
     "d_opt_mm",
     "drug_info_matrix",
-    "drug_response",
     "estimable",
     "info_matrix",
     "numeric_solve",

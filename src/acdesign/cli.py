@@ -31,7 +31,7 @@ from .criteria import (
     resolve_spec,
 )
 from .designs import ARM_CONTROL, Design
-from .equivalence import verify
+from .equivalence import VERIFY_GRID, verify
 from .exceptions import AcdesignError, ScenarioError
 from .models import (
     Binomial,
@@ -362,7 +362,7 @@ def cmd_verify(args) -> int:
     design = read_design_csv(args.design)
     report = verify(
         design, scn.drug, scn.control, scn.criterion,
-        grid_size=512 if args.grid is None else args.grid, tol=args.tol,
+        grid_size=VERIFY_GRID if args.grid is None else args.grid, tol=args.tol,
     )
     out_dir = _out_dir(args.out)
     _write_output(out_dir / "sensitivity.csv", report.csv_text())

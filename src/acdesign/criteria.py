@@ -39,10 +39,6 @@ class KMatrix:
             raise DesignError("contrast matrix must have full column rank")
 
     @classmethod
-    def identity(cls, s: int) -> "KMatrix":
-        return cls(np.eye(s))
-
-    @classmethod
     def block(cls, k11: np.ndarray, k22: np.ndarray) -> "KMatrix":
         k11 = np.atleast_2d(np.asarray(k11, float))
         k22 = np.atleast_2d(np.asarray(k22, float))
@@ -73,10 +69,6 @@ class KMatrix:
         if k11.shape[1] != k22.shape[1]:
             raise DesignError("stacked blocks must share the column count")
         return cls(np.vstack([k11, k22]), k11, k22)
-
-    @classmethod
-    def vector(cls, c: np.ndarray) -> "KMatrix":
-        return cls(np.asarray(c, float).reshape(-1, 1))
 
     @property
     def is_block(self) -> bool:
@@ -143,12 +135,11 @@ def phi_p_parts(GK: np.ndarray, K: np.ndarray, p: float, eig=None) -> tuple:
         repeated = lam.size > 1 and (lam[-1] - lam[-2]) <= 1e-8 * max(lam[-1], 1.0)
         W = None if repeated else np.outer(u, u)
         return float(1.0 / lam[-1]), W, float(lam[-1]), lam, V
+    ratio = lam / lam[-1]
     if p == 0.0:
         value = float(np.exp(-np.mean(np.log(lam))))
     else:
-        log_mean = float(np.log(np.mean(np.exp(-p * np.log(lam) + p * np.log(lam[-1])))))
-        value = float(np.exp((log_mean - p * np.log(lam[-1])) / p))
-    ratio = lam / lam[-1]
+        value = float(np.mean(ratio ** (-p)) ** (1.0 / p) / lam[-1])
     W = GK @ ((V * ratio ** (-p - 1.0)) @ V.T) @ GK.T
     return value, W, float(lam[-1] * np.sum(ratio ** (-p))), lam, V
 

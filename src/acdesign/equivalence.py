@@ -10,8 +10,8 @@ inverse.  The drug-arm sensitivity is evaluated in batches, one call of
 for each refinement pass of `grid_peak`.  For rank-deficient information
 with a one-column contrast the null-space family of generalized inverses
 is searched, since the pseudo inverse alone can fail to witness optimality
-of singular designs; that search is a discrete Chebyshev fit, which
-`scalar_opt.minimax` solves.
+of singular designs; that search is one discrete Chebyshev fit on a fixed
+dose grid, which `scalar_opt.minimax` solves.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ from .scalar_opt import minimax
 
 # grid_peak's refinement passes; each evaluates its doses in one batch
 _PASSES = 3
+VERIFY_GRID = 512  # doses of verify's default grid and of the null-adjusted witness's fit
 
 
 class _Criterion(_Information):
@@ -155,7 +156,7 @@ def verify(
     drug: DrugModel,
     control: ControlModel,
     spec: CriterionSpec,
-    grid_size: int = 512,
+    grid_size: int = VERIFY_GRID,
     tol: float = 1e-5,
 ) -> SensitivityReport:
     """Check local optimality of a design against its criterion.
@@ -163,8 +164,11 @@ def verify(
     The normalized sensitivity is evaluated on a uniform dose grid plus the
     design support and the control point; `grid_peak` refines the grid
     maximum in batched passes, and the support residuals are read off the
-    grid.  Verdict 'optimal' needs the maximum violation and every support
-    residual within tol.
+    grid.  When that shows a violation for a one-column contrast and a
+    singular information matrix, the one generalized inverse that
+    `_null_adjusted` fits on its fixed grid is tried, and its report kept
+    if it violates less.  Verdict 'optimal' needs the maximum violation and
+    every support residual within tol.
     """
     if grid_size < 2:
         raise UnsupportedCaseError("grid_size must be at least 2")
@@ -177,22 +181,13 @@ def verify(
     report = _evaluate(criterion, design, W, threshold, grid_size, tol)
     singular = null.shape[1] > 0
     if report.max_violation > tol and singular and K.t == 1:
-        # cutting-plane search over the generalized inverses: the grid
-        # minimax witness can leak between grid points near a tangency, so
-        # each refined violation point is added and the witness re-solved
-        extra: list[float] = []
-        for _ in range(6):
-            z = _null_adjusted(criterion, design, G, null, grid_size, extra)
-            if z is None:
-                break
+        # another generalized inverse can witness what the pseudo inverse does not
+        z = _null_adjusted(criterion, design, G, null)
+        if z is not None:
             _, W, threshold, *_ = phi_p_parts(z, criterion.K, p)
             candidate = _evaluate(criterion, design, W, threshold, grid_size, tol)
             if candidate.max_violation < report.max_violation:
-                report = candidate
-                strategy = "null-adjusted"
-            if candidate.max_violation <= tol:
-                break
-            extra.append(candidate.argmax_dose)
+                report, strategy = candidate, "null-adjusted"
     if report.max_violation > tol and singular and K.t > 1:
         verdict = "inconclusive"  # some other generalized inverse could witness
     elif report.max_violation > tol:
@@ -243,15 +238,15 @@ def _evaluate(
 
 
 def _null_adjusted(
-    criterion: _Criterion, design: Design, G: np.ndarray, null_basis: np.ndarray,
-    grid_size: int, extra_doses: list[float],
+    criterion: _Criterion, design: Design, G: np.ndarray, null_basis: np.ndarray
 ) -> Optional[np.ndarray]:
     """Search the generalized inverses of a singular M for a witness z = G c.
 
     For a one-column contrast the sensitivity depends on G only through
     z = G c with M z = c, i.e. z = M^+ c + N alpha over the null space of M.
     Minimizing the maximal |f(x)^T z| over the dose grid is a discrete
-    Chebyshev fit in alpha, which `minimax` solves.  The grid holds each
+    Chebyshev fit in alpha, which `minimax` solves.  Its grid is fixed,
+    VERIFY_GRID doses whatever grid the caller evaluates on, plus each
     support dose and two doses 1/100 of a grid step either side of it, so
     |f(x)^T z| peaks at the support rather than between grid points.
     G = M^+ + (z - M^+ c) c^T / (c^T c) is a generalized inverse with
@@ -260,13 +255,10 @@ def _null_adjusted(
     z0 = G @ criterion.K[:, 0]
     drug = criterion.drug
     L, R = drug.dose_range
-    step = 0.01 * (R - L) / (grid_size - 1)
+    step = 0.01 * (R - L) / (VERIFY_GRID - 1)
     support = design.drug_doses
-    parts = [np.linspace(L, R, grid_size), support,
-             np.clip(np.concatenate([support - step, support + step]), L, R)]
-    if extra_doses:
-        parts.append(np.asarray(extra_doses, float))
-    doses = np.unique(np.concatenate(parts))
+    near = np.clip(np.concatenate([support - step, support + step]), L, R)
+    doses = np.unique(np.concatenate([np.linspace(L, R, VERIFY_GRID), support, near]))
     m = drug.n_mean_params
     F = drug.regression_rows(doses)
     try:

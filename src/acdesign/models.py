@@ -263,24 +263,12 @@ class DrugModel:
         """Length of theta_1 (mean parameters plus sigma2 for normal)."""
         return self.n_mean_params + (1 if isinstance(self.family, Normal) else 0)
 
-    # -- mean and gradient ---------------------------------------------------
+    # -- Fisher information ---------------------------------------------------
 
     def _check_dose(self, d: float):
         L, R = self.dose_range
         if not (L - 1e-12 <= d <= R + 1e-12):
             raise DoseRangeError(f"dose {d} outside range [{L}, {R}]")
-
-    def mean_value(self, d: float) -> float:
-        """eta(d, theta_1): probability for binomial/negative binomial, rate for Poisson."""
-        self._check_dose(d)
-        return self.mean.value(d)
-
-    def mean_grad(self, d: float) -> np.ndarray:
-        """Gradient of the mean curve in the mean parameters (length 2 or 3)."""
-        self._check_dose(d)
-        return self.mean.gradient(d)
-
-    # -- Fisher information ---------------------------------------------------
 
     def fisher(self, d: float) -> np.ndarray:
         """Per-observation information for theta_1 at dose d: f f^T plus the variance entry."""
@@ -382,11 +370,6 @@ class ControlModel:
 # target dose
 # ---------------------------------------------------------------------------
 
-def drug_response(drug: DrugModel, d: float) -> float:
-    """Drug-arm expected response at dose d on its family's comparison scale."""
-    return drug.family.response(drug.mean_value(d))
-
-
 def target_dose(drug: DrugModel, control: ControlModel) -> float:
     """Smallest dose whose expected response matches the active control.
 
@@ -399,7 +382,7 @@ def target_dose(drug: DrugModel, control: ControlModel) -> float:
     """
     L, R = drug.dose_range
     level = drug.family.mean_at(control.expected_response())
-    lo, hi = drug.mean_value(L), drug.mean_value(R)
+    lo, hi = drug.mean.value(L), drug.mean.value(R)
     if not (min(lo, hi) - 1e-12 <= level <= max(lo, hi) + 1e-12):
         raise NoTargetDoseError(
             f"control response {level:.6g} outside attained range [{lo:.6g}, {hi:.6g}]"
@@ -412,12 +395,8 @@ def target_dose(drug: DrugModel, control: ControlModel) -> float:
 
 def response_gradient(drug: DrugModel, d: float) -> np.ndarray:
     """Gradient of the comparison-scale response in the mean parameters."""
-    return drug.family.response_slope(drug.mean_value(d)) * drug.mean_grad(d)
-
-
-def response_dose_derivative(drug: DrugModel, d: float) -> float:
-    """d/dd of the comparison-scale response."""
-    return drug.family.response_slope(drug.mean_value(d)) * drug.mean.derivative(d)
+    drug._check_dose(d)
+    return drug.family.response_slope(drug.mean.value(d)) * drug.mean.gradient(d)
 
 
 def target_dose_grad(drug: DrugModel, control: ControlModel) -> tuple[np.ndarray, np.ndarray]:
@@ -428,7 +407,7 @@ def target_dose_grad(drug: DrugModel, control: ControlModel) -> tuple[np.ndarray
     full parameter dimensions s1 and s2.
     """
     dstar = target_dose(drug, control)
-    etap = response_dose_derivative(drug, dstar)
+    etap = drug.family.response_slope(drug.mean.value(dstar)) * drug.mean.derivative(dstar)
     if abs(etap) < 1e-14:
         raise DegenerateGradientError("mean curve is flat at the target dose")
     g_mean = -(1.0 / etap) * response_gradient(drug, dstar)

@@ -14,6 +14,7 @@ _INV_PHI2 = (3.0 - math.sqrt(5.0)) / 2.0
 _EPS = float(np.finfo(float).eps)
 # singular values of a minimax A below this share of max(|A|_2, |b|_inf) count as zero
 _RANK_RTOL = 1e-12
+_SCAN = 64  # subintervals of bracketed_root's sign-change scan
 
 
 def golden_max(f, a: float, b: float, tol: float) -> tuple[float, float]:
@@ -144,17 +145,17 @@ def _reference(U: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.array(rows)
 
 
-def bracketed_root(f, lo: float, hi: float, scan: int = 64, tol: float = 0.0) -> float:
-    """Root of f on (lo, hi) after a sign-change scan over `scan` subintervals.
+def bracketed_root(f, lo: float, hi: float, tol: float) -> float:
+    """Root of f on (lo, hi) after a sign-change scan over _SCAN subintervals.
 
     Exactly one sign change is required; zero or several raise, because a
     silent pick could hide a multiple-root pathology.  Bisection to tol,
     then one Newton polish from a central difference.
     """
-    xs = np.linspace(lo, hi, scan + 1)
+    xs = np.linspace(lo, hi, _SCAN + 1)
     vals = np.array([f(x) for x in xs])
     sign_changes = [
-        i for i in range(scan) if vals[i] == 0.0 or vals[i] * vals[i + 1] < 0
+        i for i in range(_SCAN) if vals[i] == 0.0 or vals[i] * vals[i + 1] < 0
     ]
     if not sign_changes:
         raise InfeasibleGeometryError("no root bracketed in the dose range")
@@ -165,8 +166,6 @@ def bracketed_root(f, lo: float, hi: float, scan: int = 64, tol: float = 0.0) ->
     i = sign_changes[0]
     a, b = float(xs[i]), float(xs[i + 1])
     fa = f(a)
-    if tol <= 0:
-        tol = 1e-14 * (hi - lo)
     while b - a > tol:
         m = 0.5 * (a + b)
         fm = f(m)

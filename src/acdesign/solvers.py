@@ -43,7 +43,7 @@ from .designs import (
     pinv_contrast,
     pseudo_inverse,
 )
-from .equivalence import SensitivityReport, _Criterion, grid_peak, verify
+from .equivalence import VERIFY_GRID, SensitivityReport, _Criterion, grid_peak, verify
 from .exceptions import (
     EstimabilityError,
     InfeasibleGeometryError,
@@ -58,8 +58,6 @@ from .models import (
     NegativeBinomial,
     Normal,
     Poisson,
-    response_gradient,
-    target_dose,
     target_dose_grad,
 )
 from .scalar_opt import bracketed_root, golden_max, minimax
@@ -201,7 +199,7 @@ def d_opt_emax(drug: DrugModel, control: ControlModel) -> Design:
             return common - (e0 + em) / (e0 * (ed50 + d) + em * d) - 2.0 / (ed50 + d)
 
         eps = 1e-9 * (R - L)
-        inner = bracketed_root(stationarity, L + eps, R - eps, scan=64, tol=1e-13 * (R - L))
+        inner = bracketed_root(stationarity, L + eps, R - eps, 1e-13 * (R - L))
     elif isinstance(fam, Poisson):
         m = lambda d: e0 * ed50 + em * d + e0 * d
         kappa = ((ed50 + L) * m(R) + (ed50 + R) * m(L)) ** 2 + 12.0 * (ed50 + L) * (
@@ -292,7 +290,7 @@ def c_opt_elfving_2d(drug: DrugModel, c_vector: np.ndarray) -> ElfvingSolution:
     elif isinstance(fam, NegativeBinomial):
         return _finish_elfving(drug, c, [L, R], "two-endpoint")
     elif isinstance(fam, Binomial):
-        s = math.sqrt(1.0 - drug.mean_value(R))
+        s = math.sqrt(1.0 - drug.mean.value(R))
         lo = max(L, ed50 * (1.0 - s) / (2.0 * emax - 1.0 + s))
         den2 = 2.0 * emax - 1.0 - s
         hi = R if den2 <= 0 else min(R, ed50 * (1.0 + s) / den2)
@@ -507,21 +505,28 @@ def _one_point_certified(drug: DrugModel, grid: np.ndarray, dstar: float) -> boo
 def ac_optimal(drug: DrugModel, control: ControlModel) -> Design:
     """Locally AC-optimal design: best design for estimating the target dose.
 
-    Solves the induced c-optimal problem for the mean-curve gradient at the
-    target dose (closed Elfving geometry for MM; for Emax the one-point
-    design at the target dose when `c_opt_numeric` certifies it, otherwise
-    one Elfving LP; the weights of either support from `_finish_elfving`),
-    then splits mass between arms by the general rho_{-1} ratio, which
-    reproduces the published family-specific allocation formulas.
+    The AC criterion is the c-criterion of the target-dose gradient
+    (`target_dose_grad`), so this is `_c_optimal_design` of that contrast,
+    whose rho_{-1} control split reproduces the published family-specific
+    allocation formulas.
     """
-    dstar = target_dose(drug, control)
-    ctil = response_gradient(drug, dstar)
-    if isinstance(drug.mean, MichaelisMenten):
-        sol = c_opt_elfving_2d(drug, ctil)
+    return _c_optimal_design(drug, control, *target_dose_grad(drug, control))
+
+
+def _c_optimal_design(drug: DrugModel, control: ControlModel, c1, c2) -> Design:
+    """Joint c-optimal design for the one-column contrast c = (c1, c2).
+
+    The drug part's mean entries set an induced c-optimal problem: the
+    Elfving geometry of `c_opt_elfving_2d` when the drug is Michaelis-Menten
+    and the contrast lies on the gradient ray of a dose in the range,
+    `c_opt_numeric` otherwise.  `_attach_c_control` then adds the control.
+    """
+    c = c1[: drug.n_mean_params]
+    if isinstance(drug.mean, MichaelisMenten) and _one_point_candidate(drug, c) is not None:
+        sol = c_opt_elfving_2d(drug, c)
     else:
-        sol = c_opt_numeric(drug, ctil)
-    g1, g2 = target_dose_grad(drug, control)
-    return _attach_c_control(sol.induced(), drug, control, g1, g2)
+        sol = c_opt_numeric(drug, c)
+    return _attach_c_control(sol.induced(), drug, control, c1, c2)
 
 
 def _attach_c_control(
@@ -550,8 +555,8 @@ def _attach_c_control(
 # ---------------------------------------------------------------------------
 
 def _certified(design, drug, control, spec, value, iterations, method, stop_reason=None):
-    """SolveResult of a returned design, with verify's report at grid 512."""
-    report = verify(design, drug, control, spec, grid_size=512, tol=1e-5)
+    """SolveResult of a returned design, with verify's report on its default grid."""
+    report = verify(design, drug, control, spec, grid_size=VERIFY_GRID, tol=1e-5)
     converged = report.max_violation <= 1e-5
     return SolveResult(
         design, value, report.max_violation, converged, iterations, method, report, stop_reason
@@ -570,10 +575,9 @@ def _solve_rank_one(
     if np.any(np.abs(c1[m:]) > 1e-12 * scale):
         return None  # contrast touches the drug variance; no reduction applies
     try:
-        sol = c_opt_numeric(drug, c1[:m])
+        design = _c_optimal_design(drug, control, c1, c2)
     except (EstimabilityError, InfeasibleGeometryError, UnsupportedCaseError):
         return None
-    design = _attach_c_control(sol.induced(), drug, control, c1, c2)
     value = phi_p(design, drug, control, K, p)
     return _certified(design, drug, control, spec, value, 0, "numeric/c-optimal-lp")
 

@@ -435,7 +435,7 @@ def _remark1():
 
 def test_criterion4_remark1_designs():
     drug, ctrl = _remark1()
-    g0 = drug.mean_grad(5.0)
+    g0 = drug.mean.gradient(5.0)
     K = KMatrix.stacked(np.column_stack([-g0, [-1.0, 0.0]]), np.array([[1.0, 1.0]]))
     res = numeric_solve(drug, ctrl, CriterionSpec("phi_p", 0.0, K),
                         SolveOptions(multistart_count=2, seed=1))
@@ -630,7 +630,7 @@ def test_criterion7_gradients_match_finite_differences():
         drug, _ = _draw_models(family, mean_kind, rng)
         L, R = drug.dose_range
         d = float(rng.uniform(0.1 * R, 0.95 * R))
-        g = drug.mean_grad(d)
+        g = drug.mean.gradient(d)
         mean = drug.mean
         params = ([mean.emax, mean.ed50] if isinstance(mean, MichaelisMenten)
                   else [mean.e0, mean.emax, mean.ed50])

@@ -14,7 +14,7 @@ PUBLIC = [
     "Poisson", "ScenarioError", "SingularInformationError", "SolveOptions", "SolveResult",
     "UnsupportedCaseError", "ac_contrast", "ac_efficiency", "ac_optimal", "c_opt_elfving_2d",
     "c_opt_numeric", "compose_active_control", "d_efficiency", "d_opt_emax", "d_opt_mm",
-    "drug_info_matrix", "drug_response", "estimable", "info_matrix", "numeric_solve", "phi_p",
+    "drug_info_matrix", "estimable", "info_matrix", "numeric_solve", "phi_p",
     "phi_p_from_info", "phi_p_reduced", "pseudo_inverse", "psi_ac", "response_gradient",
     "rho_p", "round_design", "sensitivity", "solve_d_optimal", "target_dose",
     "target_dose_grad", "verify",

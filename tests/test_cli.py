@@ -545,12 +545,13 @@ def _fresh_process(argv, **kwargs):
 
 
 def test_extreme_finite_p_exits_without_a_traceback(tmp_path):
-    # p = -1e308 used to overflow the weight sweeps' count
+    # p = -1e308 used to overflow the weight sweeps' count, then phi_p's value
     text = GOUTY_NORMAL.replace("criterion.kind = d", "criterion.kind = phi_p\ncriterion.p = -1e308")
     scn = write(tmp_path, "extreme.scn", text)
     run = _fresh_process(["solve", scn, "--out", str(tmp_path / "out")], capture_output=True)
     assert run.returncode in (2, 3)
     assert b"Traceback" not in run.stderr
+    assert b"RuntimeWarning" not in run.stderr
 
 
 @pytest.mark.parametrize("command,blocked", [

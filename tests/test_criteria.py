@@ -34,7 +34,6 @@ from acdesign import (
     solve_d_optimal,
     target_dose,
 )
-from acdesign.models import response_dose_derivative
 from acdesign.reproduce import gouty_models, migraine_models
 
 GOUTY = Emax(0.26, 0.73, 10.5)
@@ -50,7 +49,7 @@ def psi_ac_scalar_form(design: Design, drug: DrugModel, control: ControlModel) -
     if control.n_params != 1:
         raise UnsupportedCaseError("scalar-form psi needs a one-parameter control")
     dstar = target_dose(drug, control)
-    etap = response_dose_derivative(drug, dstar)
+    etap = drug.family.response_slope(drug.mean.value(dstar)) * drug.mean.derivative(dstar)
     kprime = control.response_derivative()
     ddstar_dtheta2 = kprime / etap
     ctil = response_gradient(drug, dstar)
@@ -176,12 +175,12 @@ def test_rho_p_poisson_allocation_formula():
     mu = 1.25
     ctrl = ControlModel(Poisson(), mu)
     dstar = 1.5 * mu / (2.5 - mu)
-    g1 = drug.mean_grad(dstar)
+    g1 = drug.mean.gradient(dstar)
     g2 = np.array([[1.0]])
     K = KMatrix.stacked(g1.reshape(-1, 1), g2)
     ind = InducedDesign((dstar,), (1.0,))
     rho = rho_p(ind, drug, ctrl, K, -1.0)
-    delta = drug.mean_value(dstar)
+    delta = drug.mean.value(dstar)
     share = rho / (1 + rho)
     assert share == pytest.approx(
         math.sqrt(delta) / (math.sqrt(delta) + math.sqrt(mu)), rel=1e-10

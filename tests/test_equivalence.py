@@ -279,6 +279,53 @@ def test_one_point_ac_optima_take_the_null_adjusted_witness(monkeypatch, drug, c
     assert rep.max_violation <= 1e-6
 
 
+def test_null_adjusted_witness_does_not_depend_on_the_grid():
+    # the witness is fitted on its own fixed grid; fitted on a 2-dose grid it
+    # used to leave 1.16e-4 at dose 9.52 on this one-point optimum
+    drug = DrugModel(Poisson(), MichaelisMenten(0.6542850597838175, 22.430181152089908),
+                     (0.0, 300.0))
+    ctrl = ControlModel(Poisson(), 0.19253747867109927)
+    design = ac_optimal(drug, ctrl)
+    assert len(design.drug_doses) == 1
+    for grid in (2, 3, 5, 512):
+        rep = verify(design, drug, ctrl, CriterionSpec("ac"), grid_size=grid)
+        assert (rep.verdict, rep.ginv_strategy) == ("optimal", "null-adjusted"), grid
+
+
+def _normal_mm():
+    drug = DrugModel(Normal(1.0), MichaelisMenten(0.5, 2.0), (0.0, 50.0))
+    return drug, ControlModel(Normal(1.0), 0.25)
+
+
+def test_singular_information_with_a_many_column_contrast_is_inconclusive():
+    # one drug dose cannot tell the two mean parameters apart, yet K asks
+    # only for their combination on the gradient ray there; a generalized
+    # inverse other than the pseudo inverse could witness optimality, and
+    # verify searches them only for one-column contrasts
+    drug, ctrl = _normal_mm()
+    k11 = np.append(drug.mean.gradient(0.5), 0.0).reshape(-1, 1)
+    K = KMatrix.block(k11, np.array([[1.0], [0.0]]))
+    design = Design(((0.5, ARM_DRUG), (0.0, ARM_CONTROL)), (0.5, 0.5))
+    rep = verify(design, drug, ctrl, CriterionSpec("phi_p", 0.0, K))
+    assert rep.verdict == "inconclusive"
+    assert rep.ginv_strategy == "pseudoinverse"
+    assert rep.max_violation == pytest.approx(20.45, abs=0.01)
+
+
+def test_support_residual_above_tol_is_inconclusive():
+    # a negligible weight at a dose off the optimum's support leaves the
+    # violation within tol, but its sensitivity there is far from zero
+    drug, ctrl = _normal_mm()
+    optimum = solve_d_optimal(drug, ctrl)
+    weights = np.append(optimum.weights, 1e-9)
+    design = Design(optimum.points + ((25.0, ARM_DRUG),), tuple(weights / weights.sum()))
+    rep = verify(design, drug, ctrl, D_SPEC)
+    assert rep.verdict == "inconclusive"
+    assert rep.max_violation <= rep.tol
+    assert rep.max_violation == pytest.approx(1.0e-9, rel=1e-3)
+    assert rep.support_residuals[-1] == pytest.approx(0.123, abs=1e-3)
+
+
 # -- grid_peak against a golden-section oracle ---------------------------------
 
 _INV_PHI = (np.sqrt(5.0) - 1.0) / 2.0

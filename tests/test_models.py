@@ -18,7 +18,7 @@ from acdesign import (
     Normal,
     Poisson,
     SingularInformationError,
-    drug_response,
+    response_gradient,
     target_dose,
     target_dose_grad,
 )
@@ -53,7 +53,7 @@ def _random_models(rng):
 
 def test_mean_examples():
     drug = DrugModel(NegativeBinomial(10), GOUTY_MEAN, (0.0, 300.0))
-    assert drug.mean_value(0.0) == pytest.approx(0.26)
+    assert drug.mean.value(0.0) == pytest.approx(0.26)
     # dose solving 0.26 + 0.73 d/(10.5+d) = 0.9206, found by bisection
     lo, hi = 0.0, 300.0
     for _ in range(200):
@@ -62,26 +62,26 @@ def test_mean_examples():
             lo = mid
         else:
             hi = mid
-    assert drug.mean_value(0.5 * (lo + hi)) == pytest.approx(0.9206, abs=1e-9)
+    assert drug.mean.value(0.5 * (lo + hi)) == pytest.approx(0.9206, abs=1e-9)
     mm = DrugModel(Normal(1.0), MichaelisMenten(0.5, 2.0), (0.0, 50.0))
-    assert mm.mean_value(2.0) == pytest.approx(0.25)
+    assert mm.mean.value(2.0) == pytest.approx(0.25)
 
 
 def test_mean_outside_range_raises():
     drug = DrugModel(Poisson(), MichaelisMenten(0.5, 2.0), (0.0, 50.0))
     with pytest.raises(DoseRangeError):
-        drug.mean_value(51.0)
+        response_gradient(drug, 51.0)
     with pytest.raises(DoseRangeError):
         drug.fisher(-1.0)
 
 
 def test_mean_grad_closed_forms():
     drug = DrugModel(Normal(1.0), MichaelisMenten(0.5, 2.0), (0.0, 50.0))
-    assert drug.mean_grad(0.0) == pytest.approx([0.0, 0.0])
+    assert drug.mean.gradient(0.0) == pytest.approx([0.0, 0.0])
     # central finite differences with step 1e-6 give (0.5, -0.0625)
-    assert drug.mean_grad(2.0) == pytest.approx([0.5, -0.0625])
+    assert drug.mean.gradient(2.0) == pytest.approx([0.5, -0.0625])
     emax = DrugModel(Normal(1.0), GOUTY_MEAN, (0.0, 300.0))
-    assert emax.mean_grad(10.5) == pytest.approx([1.0, 0.5, -0.73 / 42.0])
+    assert emax.mean.gradient(10.5) == pytest.approx([1.0, 0.5, -0.73 / 42.0])
 
 
 def test_mean_grad_matches_finite_differences():
@@ -90,7 +90,7 @@ def test_mean_grad_matches_finite_differences():
     for drug in _random_models(rng):
         L, R = drug.dose_range
         d = rng.uniform(0.05 * R, R)
-        g = drug.mean_grad(d)
+        g = drug.mean.gradient(d)
         mean = drug.mean
         params = np.array(
             [mean.emax, mean.ed50] if isinstance(mean, MichaelisMenten)
@@ -155,7 +155,7 @@ def test_fisher_psd_and_negbin_binomial_relation():
     nb = DrugModel(NegativeBinomial(r), MichaelisMenten(th1, ed50), (0.0, 20.0))
     bi = DrugModel(Binomial(), MichaelisMenten(th1, ed50), (0.0, 20.0))
     for d in (0.5, 2.0, 10.0):
-        p = nb.mean_value(d)
+        p = nb.mean.value(d)
         assert nb.fisher(d) == pytest.approx(r / p * bi.fisher(d), rel=1e-12)
 
 
@@ -261,7 +261,7 @@ def test_probability_at_one_just_past_the_range_is_singular():
     # past R reaches eta > 1, where every information path must raise
     # rather than return NaN
     drug = DrugModel(Binomial(), Emax(0.5, (0.5 - 2.2e-16) * 1.1, 1.0), (0.0, 10.0))
-    assert drug.mean_value(10.0) < 1.0 <= drug.mean_value(10.0 + 1e-12)
+    assert drug.mean.value(10.0) < 1.0 <= drug.mean.value(10.0 + 1e-12)
     for call in (drug.fisher, drug.regression_vector, lambda d: drug.regression_rows([1.0, d])):
         with pytest.raises(SingularInformationError):
             call(10.0 + 1e-12)
@@ -369,8 +369,8 @@ def test_target_dose_negbin_scales():
     d_mean = target_dose(drug, ctrl5)
     # matching 10(1-p)/p = 5(1-mu)/mu gives p = 10 mu/(10 mu + 5(1-mu))
     p_match = 10 * 0.9206 / (10 * 0.9206 + 5 * (1 - 0.9206))
-    assert drug.mean_value(d_mean) == pytest.approx(p_match, rel=1e-12)
-    assert drug_response(drug, d_mean) == pytest.approx(
+    assert drug.mean.value(d_mean) == pytest.approx(p_match, rel=1e-12)
+    assert drug.family.response(drug.mean.value(d_mean)) == pytest.approx(
         ctrl5.expected_response(), rel=1e-12
     )
 
@@ -379,7 +379,8 @@ def test_target_dose_negbin_drug_matches_any_control():
     # the drug's count mean r(1-p)/p meets the control's response on any scale
     drug = DrugModel(NegativeBinomial(10), GOUTY_MEAN, (0.0, 300.0))
     ctrl = ControlModel(Poisson(), 0.9206)
-    assert drug_response(drug, target_dose(drug, ctrl)) == pytest.approx(0.9206, rel=1e-12)
+    d_mean = target_dose(drug, ctrl)
+    assert drug.family.response(drug.mean.value(d_mean)) == pytest.approx(0.9206, rel=1e-12)
     # no success probability below 1 gives a count mean of 0 or below
     with pytest.raises(NoTargetDoseError):
         target_dose(drug, ControlModel(Normal(1.0), -0.5))

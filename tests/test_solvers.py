@@ -267,7 +267,7 @@ def test_elfving_poisson_threshold_and_cases():
     sol_hi = c_opt_elfving_2d(drug, _c_for(drug, 2.0))
     assert sol_hi.case_tag == "one-point"
     assert sol_hi.doses == pytest.approx([2.0], rel=1e-9)
-    assert sol_hi.delta == pytest.approx(drug.mean_value(2.0), rel=1e-9)
+    assert sol_hi.delta == pytest.approx(drug.mean.value(2.0), rel=1e-9)
 
 
 def test_elfving_negbin_always_endpoints():
@@ -327,7 +327,7 @@ def test_elfving_binomial_three_cases_vs_lp():
     # a steep curve puts both tangency thresholds inside the range, so all
     # three support patterns occur; each must match the grid-LP oracle
     drug = DrugModel(Binomial(), MichaelisMenten(0.95, 2.0), (0.0, 50.0))
-    s = math.sqrt(1.0 - drug.mean_value(50.0))
+    s = math.sqrt(1.0 - drug.mean.value(50.0))
     x1 = 2.0 * (1 - s) / (2 * 0.95 - 1 + s)
     x2 = 2.0 * (1 + s) / (2 * 0.95 - 1 - s)
     expected = [(0.5, "left-threshold", [x1, 50.0]),
@@ -347,7 +347,7 @@ def test_elfving_threshold_transition_continuous():
     # psi of the composed design must be continuous as d* crosses x*
     drug = DrugModel(Poisson(), MichaelisMenten(2.5, 1.5), (0.02, 10.0))
     xstar = 15.0 / 36.0
-    lam_at = lambda d: drug.mean_value(d)
+    lam_at = lambda d: drug.mean.value(d)
     deltas = []
     for eps in (-1e-7, 0.0, 1e-7):
         sol = c_opt_elfving_2d(drug, _c_for(drug, xstar + eps))
@@ -584,7 +584,7 @@ def test_ac_optimal_poisson_share():
     des = ac_optimal(drug, ctrl)
     dstar = target_dose(drug, ctrl)
     assert des.drug_doses == pytest.approx([dstar], rel=1e-9)
-    delta = drug.mean_value(dstar)
+    delta = drug.mean.value(dstar)
     share = math.sqrt(delta) / (math.sqrt(delta) + math.sqrt(mu))
     assert 1.0 - des.control_weight == pytest.approx(share, rel=1e-9)
 
@@ -595,7 +595,7 @@ def test_ac_optimal_normal_mm_equal_sigmas():
     xstar = (math.sqrt(2) * 50**2 * 2 + (math.sqrt(2) - 1) * 50 * 4) / (
         2 * 50**2 + 4 * 50 * 2 + 4
     )
-    mu = drug.mean_value(2.0 * xstar)  # target dose safely above x*
+    mu = drug.mean.value(2.0 * xstar)  # target dose safely above x*
     ctrl = ControlModel(Normal(0.0025), mu)
     des = ac_optimal(drug, ctrl)
     assert des.drug_doses == pytest.approx([2.0 * xstar], rel=1e-9)
@@ -660,6 +660,18 @@ def _mm_draws(seed: int):
         yield DrugModel(family, mean, (0.0, R)), ControlModel(family, mu)
 
 
+def test_numeric_solve_of_the_ac_criterion_is_ac_optimal():
+    # both take the one route from a one-column contrast to its design,
+    # the Michaelis-Menten closed forms included
+    problems = [gouty_models("normal"), gouty_models("negative_binomial"),
+                migraine_models("normal"), migraine_models("binomial")]
+    problems += _emax_ac_problems()[3:] + [m for seed in (11, 12) for m in _mm_draws(seed)]
+    for drug, ctrl in problems:
+        res = numeric_solve(drug, ctrl, CriterionSpec("ac"))
+        assert res.design == ac_optimal(drug, ctrl), (drug, ctrl)
+        assert res.report.verdict == "optimal"
+
+
 def test_ac_optimal_share_matches_published_formula():
     # the general rho_{-1} split must reproduce the family-specific formula,
     # with delta = c' M1^- c at the c-optimal induced design
@@ -685,7 +697,7 @@ def _remark1_models():
 
 def test_numeric_solve_general_contrast():
     drug, ctrl = _remark1_models()
-    g0 = drug.mean_grad(5.0)
+    g0 = drug.mean.gradient(5.0)
     K = KMatrix.stacked(np.column_stack([-g0, [-1.0, 0.0]]), np.array([[1.0, 1.0]]))
     res = numeric_solve(drug, ctrl, CriterionSpec("phi_p", 0.0, K),
                         SolveOptions(multistart_count=2, seed=1))
@@ -697,7 +709,7 @@ def test_numeric_solve_general_contrast():
 
 def test_numeric_solve_prediction_one_point():
     drug, ctrl = _remark1_models()
-    g0 = drug.mean_grad(5.0)
+    g0 = drug.mean.gradient(5.0)
     K = KMatrix.stacked(g0.reshape(-1, 1), np.zeros((1, 1)))
     res = numeric_solve(drug, ctrl, CriterionSpec("phi_p", 0.0, K))
     assert res.design.points == ((5.0, ARM_DRUG),)

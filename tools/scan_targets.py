@@ -16,6 +16,10 @@ must be within 1e-6 (relative) of `c_opt_numeric`'s, and the `ac_optimal`
 design must verify optimal at grid 512.  It prints the count of each
 support pattern.
 
+For every problem of both scans, `numeric_solve` with the AC criterion must
+return the `ac_optimal` design, and that design must verify optimal at
+grid 2: the null-adjusted witness is fitted on a grid of its own.
+
 Every problem that misses a check is named; the scan exits 1 if any does.
 """
 
@@ -52,6 +56,20 @@ def models():
     yield from draws("emax", 3)
 
 
+def route_misses(drug, control, design) -> list[str]:
+    """The shared one-column route's checks that a problem misses."""
+    from acdesign import CriterionSpec, numeric_solve, verify
+
+    spec = CriterionSpec("ac")
+    misses = []
+    if numeric_solve(drug, control, spec).design != design:
+        misses.append("numeric_solve differs")
+    verdict = verify(design, drug, control, spec, grid_size=2).verdict
+    if verdict != "optimal":
+        misses.append(f"{verdict} at grid 2")
+    return misses
+
+
 def scan_closed_forms() -> int:
     """Check the Michaelis-Menten closed forms against the LP; the misses."""
     from collections import Counter
@@ -65,12 +83,14 @@ def scan_closed_forms() -> int:
     for name, drug, control in draws("mm", 4):
         c = response_gradient(drug, target_dose(drug, control))[: drug.n_mean_params]
         closed, lp = c_opt_elfving_2d(drug, c), c_opt_numeric(drug, c)
-        verdict = verify(ac_optimal(drug, control), drug, control, spec, grid_size=512).verdict
+        design = ac_optimal(drug, control)
+        verdict = verify(design, drug, control, spec, grid_size=512).verdict
+        misses = route_misses(drug, control, design)
         tags[closed.case_tag] += 1
-        if abs(closed.delta - lp.delta) > 1e-6 * lp.delta or verdict != "optimal":
+        if abs(closed.delta - lp.delta) > 1e-6 * lp.delta or verdict != "optimal" or misses:
             bad += 1
             print(f"  {name}: delta {closed.delta:.10g} against the LP's {lp.delta:.10g}, "
-                  f"{verdict}")
+                  f"{', '.join([verdict] + misses)}")
     patterns = ", ".join(f"{n} {tag}" for tag, n in sorted(tags.items()))
     print(f"  {sum(tags.values())} Michaelis-Menten draws: {patterns}; "
           f"{bad} differ from the LP or not optimal")
@@ -94,13 +114,14 @@ def main() -> int:
         design = ac_optimal(drug, control)
         solvers._one_point_certified = lambda *args: False
         lp_design = ac_optimal(drug, control)
+        solvers._one_point_certified = certify
         verdict = verify(design, drug, control, CriterionSpec("ac"), grid_size=512).verdict
+        misses = route_misses(drug, control, design)
         problems += 1
-        if design != lp_design or verdict != "optimal":
+        if design != lp_design or verdict != "optimal" or misses:
             bad += 1
             print(f"  {name}: {'same' if design == lp_design else 'differs from the LP'}, "
-                  f"{verdict}")
-    solvers._one_point_certified = certify
+                  f"{', '.join([verdict] + misses)}")
     # each problem makes one c_opt_numeric call
     print(f"  {problems} problems: {sum(outcomes)} certified, "
           f"{problems - sum(outcomes)} took the LP, {bad} differ or not optimal")
