@@ -17,6 +17,7 @@ holds for any pairing of drug and control families.
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 from dataclasses import dataclass
@@ -765,12 +766,13 @@ def _polish(problem: _Criterion, state, res, with_control: bool, budget: int):
         if delta is None:
             return state, res, steps
         for _ in range(40):
-            y = x + delta
-            live = y[n : 2 * n] > 0  # a weight that reached 0 leaves with its dose
-            # doses that meet, at a range end or a shared peak, merge
-            pairs = zip(L + np.clip(y[:n], 0.0, 1.0)[live] * (R - L), y[n : 2 * n][live])
-            merged = np.array(merge_support(pairs, MERGE_FRACTION * (R - L))).reshape(-1, 2)
-            trial_state = _normalized(merged[:, 0], merged[:, 1], max(y[-1], 0.0))
+            y = (x + delta).tolist()
+            # a weight at 0 leaves with its dose; doses that meet merge
+            pairs = [(L + min(max(u, 0.0), 1.0) * (R - L), w)
+                     for u, w in zip(y[:n], y[n:]) if w > 0]
+            merged = merge_support(pairs, MERGE_FRACTION * (R - L))
+            trial_state = _normalized([d for d, _ in merged], [w for _, w in merged],
+                                      max(y[-1], 0.0))
             trial = problem.analyze(problem.matrix(*trial_state))
             if trial is not None and trial[0] >= res[0] * (1.0 - ROUNDING):
                 break
@@ -823,9 +825,10 @@ def _derivatives(problem: _Criterion, doses, wd, wc, res):
     lnq[tie] = -1.0
     D = (top / lam[-1]) ** a / top * np.where(tie, a, np.expm1(a * lnq) / np.expm1(lnq))
     H = (H - (X * D.reshape(-1)) @ X.T) / threshold - problem.p * np.outer(g, g)
-    i = np.arange(n)
-    H[i, i] += wd * (s[2] - 2.0 * s[1] + s[0]) * ((R - L) / h) ** 2
-    H[i, n + i] = H[n + i, i] = H[i, n + i] + (s[2] - s[0]) * ((R - L) / (2 * h))
+    # H's entries (i, i), (i, n + i) and (n + i, i) for i < n, as strided views
+    flat, end, slope = H.reshape(-1), n * (N + 1), (s[2] - s[0]) * ((R - L) / (2 * h))
+    flat[: end : N + 1] += wd * (s[2] - 2.0 * s[1] + s[0]) * ((R - L) / h) ** 2
+    flat[n : end : N + 1] = flat[n * N : n * N + end : N + 1] = flat[n : end : N + 1] + slope
     return g, H
 
 
@@ -840,57 +843,64 @@ def _newton_step(g, H, x, with_control: bool):
     the first such variable is pinned to its bound (a weight together with
     its dose) and the step is solved again on the smaller face.  Pinning
     can turn the step downhill; then the first step, stopped at its first
-    bound, is taken instead, which still ascends.  None means
-    the state is stationary: each free weight's gradient is 1 (the weights'
-    gradients average to 1) to within STATIONARY and each free dose's
-    sensitivity slope is 0 to within SLOPE_STATIONARY.
+    bound, is taken instead, which still ascends.  None means the state is
+    stationary: each free weight's gradient is 1 (the weights' gradients
+    average to 1) to within STATIONARY and each free dose's sensitivity
+    slope is 0 to within SLOPE_STATIONARY.  This bookkeeping runs on Python
+    floats; numpy only solves each face (`_face_step`).
     """
     n = (x.size - 1) // 2
-    u, w = x[:n], x[n:]
-    weight = np.arange(x.size) >= n
-    free = np.ones(x.size, bool)
-    free[:n] = ~(((u <= 0) & (g[:n] < 0)) | ((u >= 1) & (g[:n] > 0)))
-    free[-1] = with_control and w[n] > 0
+    gl, xl = g.tolist(), x.tolist()
+    free = [i for i in range(n) if not (xl[i] <= 0 and gl[i] < 0 or xl[i] >= 1 and gl[i] > 0)]
+    free += range(n, 2 * n + (with_control and xl[-1] > 0))
     # a dose's slope is a central difference, which rounds at about 1e-10
-    done = np.concatenate([np.abs(g[:n] / w[:n]) <= SLOPE_STATIONARY,
-                           np.abs(g[n:] - 1.0) <= STATIONARY])
-    if done[free].all():
+    if all(abs(gl[i] - 1.0) <= STATIONARY if i >= n
+           else xl[n + i] != 0 and abs(gl[i] / xl[n + i]) <= SLOPE_STATIONARY for i in free):
         return None
-    delta, cut = np.zeros(x.size), None  # delta holds the pinned variables' moves
+    delta, cut = [0.0] * x.size, None  # delta holds the pinned variables' moves
     while True:
-        delta[free] = 0.0
-        delta[free] = step = _face_step(g, H, weight, free, delta)
-        room = np.where(step < 0, -x[free], np.where(weight[free], np.inf, 1.0 - x[free]))
-        t = np.divide(room, step, out=np.full(step.size, np.inf), where=step != 0)
-        j = int(np.argmin(t)) if t.size else 0
-        if not t.size or t[j] >= 1.0:
-            return delta if cut is None or g @ delta > 0 else cut
+        step = _face_step(g, H, free, tuple(i >= n for i in free), delta).tolist()
+        moved = dict(zip(free, step))
+        full = [moved.get(i, d) for i, d in enumerate(delta)]
+        # the fraction of the step at which the first free variable meets its bound
+        t, j = min((((-xl[k] if s < 0 else 1.0 - xl[k]) / s, i)
+                    for i, (k, s) in enumerate(zip(free, step)) if s < 0 or s > 0 and k < n),
+                   default=(1.0, 0))
+        if t >= 1.0:
+            full = np.array(full)
+            return full if cut is None or g @ full > 0 else cut
         if cut is None:
-            cut = t[j] * delta
-        k = np.flatnonzero(free)[j]
-        delta[k], free[k] = room[j], False
+            cut = t * np.array(full)
+        k = free.pop(j)
+        delta[k] = -xl[k] if step[j] < 0 else 1.0 - xl[k]
         if n <= k < 2 * n:
-            delta[k - n], free[k - n] = 0.0, False
+            delta[k - n], free = 0.0, [i for i in free if i != k - n]
 
 
-def _face_step(g, H, weight, free, delta):
-    """Newton step of the free variables, the pinned ones moving by delta (0 if free)."""
-    Hf = H[free]
+@functools.lru_cache(maxsize=None)
+def _tangent_basis(weights: tuple):
+    """(Z, a, k): a flags k weights; Z's orthonormal columns span {v : a.v = 0}."""
+    a, k = np.array(weights, float), weights.count(True)
+    if not k:
+        return np.eye(a.size), a, k
+    # a Householder reflection takes e_j to the constraint's unit normal;
+    # its other columns span the tangent space
+    j, r = weights.index(True), a / math.sqrt(k)
+    r[j] -= 1.0
+    Z = np.eye(a.size) if k == 1 else np.eye(a.size) - np.outer(r, r) / -r[j]
+    return np.delete(Z, j, axis=1), a, k
+
+
+def _face_step(g, H, free, weights, delta):
+    """Newton step of the variables in free, the others moving by delta (0 where
+    free); weights flags the free weights and keys the cached `_tangent_basis`."""
+    Z, a, k = _tangent_basis(weights)
+    Hf, delta = H[free], np.array(delta)
     gf = g[free] + Hf @ delta
     Hf = Hf[:, free]
-    af = weight[free]
-    k = np.count_nonzero(af)
-    Z, d0 = np.eye(af.size), np.zeros(af.size)
+    d0 = np.zeros(len(free))
     if k:
-        # a Householder reflection takes e_j to the constraint's unit normal;
-        # its other columns span the tangent space
-        j = int(np.argmax(af))
-        r = af / math.sqrt(k)
-        r[j] -= 1.0
-        if k > 1:
-            Z -= np.outer(r, r) / -r[j]
-        Z = np.delete(Z, j, axis=1)
-        d0 = af * (-delta[weight].sum() / k)
+        d0 = a * (-delta[delta.size // 2 :].sum() / k)
         gf = gf + Hf @ d0
     mu, Q = np.linalg.eigh(Z.T @ Hf @ Z)
     if not mu.size:

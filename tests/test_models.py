@@ -183,7 +183,9 @@ def test_regression_rows_match_stacked_vectors(family, mean, L):
     stacked = np.array([drug.regression_vector(d) for d in doses])
     assert rows.shape == (doses.size, drug.n_mean_params)
     np.testing.assert_allclose(rows, stacked, rtol=1e-14, atol=0.0)
-    for outside in (L - 1e-6, 50.0 + 1e-6):
+    assert drug.regression_rows(np.array([])).shape == (0, drug.n_mean_params)
+    # a NaN dose fails both comparisons of the range check, so it is outside too
+    for outside in (L - 1e-6, 50.0 + 1e-6, np.nan, np.inf, -np.inf):
         with pytest.raises(DoseRangeError):
             drug.regression_rows(np.array([L, outside]))
 

@@ -966,8 +966,9 @@ def test_numeric_solve_names_the_design_that_lost_estimability():
 def _contrast(kind, drug, ctrl):
     """block: every parameter; stacked: (emax - control mean, ed50); partial:
     the curve's emax and ed50 and the control mean."""
+    m = drug.n_mean_params  # emax and ed50 are the curve's last two parameters
     k11 = np.zeros((drug.n_params, 2))
-    k11[1, 0] = k11[2, 1] = 1.0
+    k11[m - 2, 0] = k11[m - 1, 1] = 1.0
     if kind == "block":
         return KMatrix.block_identity(drug.n_params, ctrl.n_params)
     k22 = np.zeros((ctrl.n_params, 2 if kind == "stacked" else 1))
@@ -1004,3 +1005,161 @@ def test_newton_derivatives_match_central_differences(name, kind, p):
               + log_phi(w - a - b)) / (4 * h * h) for b in eye] for a in eye]
     assert g[n:] == pytest.approx(fd_g, rel=1e-3, abs=1e-8)
     assert H[n:, n:] == pytest.approx(np.array(fd_H), rel=1e-3, abs=1e-8)
+
+
+def _reference_basis(af):
+    """The tangent basis as `_face_step` built it on every call before it was
+    cached: a Householder reflection taking e_j to the unit normal of the
+    weights' sum constraint, column j removed."""
+    k = np.count_nonzero(af)
+    Z = np.eye(af.size)
+    if k:
+        j = int(np.argmax(af))
+        r = af / math.sqrt(k)
+        r[j] -= 1.0
+        if k > 1:
+            Z -= np.outer(r, r) / -r[j]
+        Z = np.delete(Z, j, axis=1)
+    return Z
+
+
+def _reference_face_step(g, H, weight, free, delta, trail):
+    """The numpy face step that `solvers._face_step` replaced, recording the
+    free variables of each call in trail."""
+    trail.append(tuple(np.flatnonzero(free)))
+    Hf = H[free]
+    gf = g[free] + Hf @ delta
+    Hf = Hf[:, free]
+    af = weight[free].astype(float)
+    k = np.count_nonzero(af)
+    Z, d0 = _reference_basis(af), np.zeros(af.size)
+    if k:
+        d0 = af * (-delta[weight].sum() / k)
+        gf = gf + Hf @ d0
+    mu, Q = np.linalg.eigh(Z.T @ Hf @ Z)
+    if not mu.size:
+        return d0
+    curvature = np.maximum(np.abs(mu), 1e-6 * np.abs(mu).max())
+    return d0 + Z @ (Q @ (Q.T @ (Z.T @ gf) / curvature))
+
+
+def _reference_newton_step(g, H, x, with_control, trail):
+    """The numpy bookkeeping that `solvers._newton_step` replaced."""
+    from acdesign.solvers import SLOPE_STATIONARY, STATIONARY
+
+    n = (x.size - 1) // 2
+    u, w = x[:n], x[n:]
+    weight = np.arange(x.size) >= n
+    free = np.ones(x.size, bool)
+    free[:n] = ~(((u <= 0) & (g[:n] < 0)) | ((u >= 1) & (g[:n] > 0)))
+    free[-1] = with_control and w[n] > 0
+    with np.errstate(divide="ignore", invalid="ignore"):  # a weight of 0 is not stationary
+        done = np.concatenate([np.abs(g[:n] / w[:n]) <= SLOPE_STATIONARY,
+                               np.abs(g[n:] - 1.0) <= STATIONARY])
+    if done[free].all():
+        return None
+    delta, cut = np.zeros(x.size), None
+    while True:
+        delta[free] = 0.0
+        delta[free] = step = _reference_face_step(g, H, weight, free, delta, trail)
+        room = np.where(step < 0, -x[free], np.where(weight[free], np.inf, 1.0 - x[free]))
+        t = np.divide(room, step, out=np.full(step.size, np.inf), where=step != 0)
+        j = int(np.argmin(t)) if t.size else 0
+        if not t.size or t[j] >= 1.0:
+            return delta if cut is None or g @ delta > 0 else cut
+        if cut is None:
+            cut = t[j] * delta
+        k = np.flatnonzero(free)[j]
+        delta[k], free[k] = room[j], False
+        if n <= k < 2 * n:
+            delta[k - n], free[k - n] = 0.0, False
+
+
+@functools.lru_cache(maxsize=None)
+def _polish_steps():
+    """(g, H, x, with_control) of every Newton step the polish took on the case
+    studies at p = 0 and -1, on Michaelis-Menten draws with stacked and
+    partial contrasts, and on gouty negative binomial at p = 0.5, whose 16
+    start doses lose their weights one by one."""
+    from unittest import mock
+
+    import acdesign.solvers as sv
+
+    steps, newton_step = [], sv._newton_step
+
+    def captured(g, H, x, with_control):
+        steps.append((g.copy(), H.copy(), x.copy(), with_control))
+        return newton_step(g, H, x, with_control)
+
+    problems = [(*models(), CriterionSpec("phi_p", p))
+                for models in _CASE_STUDIES.values() for p in (0.0, -1.0)]
+    problems += [(drug, ctrl, CriterionSpec("phi_p", p, _contrast(kind, drug, ctrl)))
+                 for drug, ctrl in _mm_draws(11) for kind in ("stacked", "partial")
+                 for p in (0.0, -1.0)]
+    problems.append((*_CASE_STUDIES["gouty-negbin"](), CriterionSpec("phi_p", 0.5)))
+    with mock.patch.object(sv, "_newton_step", captured):
+        for drug, ctrl, spec in problems:
+            numeric_solve(drug, ctrl, spec, SolveOptions(grid_size=129, max_iterations=150))
+    return steps
+
+
+def test_newton_step_matches_the_numpy_reference():
+    # the polish's bookkeeping on Python floats and its cached tangent bases
+    # against the numpy code they replaced, on every step of 33 solves
+    from unittest import mock
+
+    import acdesign.solvers as sv
+
+    trail, face_step = [], sv._face_step
+
+    def traced(g, H, free, weights, delta):
+        trail.append(tuple(free))
+        return face_step(g, H, free, weights, delta)
+
+    pins = set()
+    for g, H, x, with_control in _polish_steps():
+        ref_trail = []
+        ref = _reference_newton_step(g, H, x, with_control, ref_trail)
+        trail.clear()
+        with mock.patch.object(sv, "_face_step", traced):
+            step = sv._newton_step(g, H, x, with_control)
+        # the same faces in the same order: the same variables pinned
+        assert trail == ref_trail
+        n = (x.size - 1) // 2
+        for k in set(trail[0]) - set(trail[-1]) if trail else ():
+            pins.add("weight" if n <= k < 2 * n else "dose" if k < n else "control")
+        if ref is None:
+            assert step is None
+        else:
+            assert np.max(np.abs(step - ref)) <= 1e-13 * np.max(np.abs(ref))
+    assert len(_polish_steps()) >= 100
+    # some steps drive a dose to a range end, others a weight to 0
+    assert {"dose", "weight"} <= pins
+    # a dose of weight 0 is not stationary (numpy's g/0 is inf or nan), and
+    # the bookkeeping on floats must not raise ZeroDivisionError for it
+    g, H, x, with_control = next(s for s in _polish_steps()
+                                 if _reference_newton_step(*s, []) is None)
+    n = (x.size - 1) // 2
+    x = x.copy()
+    x[n + next(i for i in range(n) if 0 < x[i] < 1)] = 0.0
+    ref = _reference_newton_step(g, H, x, with_control, [])
+    step = sv._newton_step(g, H, x, with_control)
+    assert np.max(np.abs(step - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def test_tangent_bases_are_orthonormal_on_the_constraint():
+    # every pattern of weights among up to 9 free variables, against the
+    # basis `_face_step` built on every call before it was cached
+    import itertools
+
+    from acdesign.solvers import _tangent_basis
+
+    for size in range(1, 10):
+        for weights in itertools.product((False, True), repeat=size):
+            Z, a, k = _tangent_basis(weights)
+            assert k == sum(weights)
+            assert np.array_equal(a, np.array(weights, float))
+            assert Z.shape == (size, size - (k > 0))
+            np.testing.assert_allclose(Z.T @ Z, np.eye(Z.shape[1]), rtol=0.0, atol=1e-14)
+            np.testing.assert_allclose(a @ Z, 0.0, rtol=0.0, atol=1e-14)
+            assert np.array_equal(Z, _reference_basis(a))

@@ -6,7 +6,9 @@ The scan solves the 4 case studies and 24 Emax draws (`draw_spec` of
 bench/workloads.py with numpy's default_rng(7), one draw per family in each
 of 6 rounds) on every grid size in GRIDS at every p in PS, with the
 block-identity contrast: 924 solves.  It prints the counts by stop reason and
-verdict and names every solve that is not certified and optimal.
+verdict and the total Newton steps (the sum of `iterations`), and names every
+solve that is not certified and optimal.  A change to the polish that should
+not change its path shows the same total.
 
 The whole scan runs once for each OpenBLAS thread count in THREADS, each time
 in a subprocess, because the thread count must be set before numpy loads and
@@ -51,7 +53,7 @@ def scan() -> int:
     from acdesign import CriterionSpec, numeric_solve
     from acdesign.solvers import SolveOptions
 
-    counts = collections.Counter()
+    counts, steps = collections.Counter(), 0
     start = time.perf_counter()
     for name, drug, control in models():
         for grid in GRIDS:
@@ -60,12 +62,14 @@ def scan() -> int:
                                     SolveOptions(grid_size=grid))
                 outcome = (res.stop_reason, res.report.verdict)
                 counts[outcome] += 1
+                steps += res.iterations
                 if outcome != ("certified", "optimal"):
                     print(f"  {name} grid {grid} p {p:g}: {outcome[0]}/{outcome[1]}, "
                           f"violation {res.max_violation:.3g}")
     for (reason, verdict), n in sorted(counts.items()):
         print(f"  {reason}/{verdict}: {n}")
-    print(f"  {sum(counts.values())} solves in {time.perf_counter() - start:.1f} s")
+    print(f"  {sum(counts.values())} solves, {steps} Newton steps, "
+          f"in {time.perf_counter() - start:.1f} s")
     return 0 if set(counts) == {("certified", "optimal")} else 1
 
 
