@@ -454,6 +454,11 @@ def main(argv: Optional[list[str]] = None) -> int:
     except AcdesignError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
+    except MemoryError as exc:
+        # numpy refuses an array it cannot allocate, such as a dose grid of
+        # 10^11 points from --grid or solver.grid_size, before filling it
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
+        return EXIT_VALIDATION
     except BrokenPipeError:
         # stdout's reader closed it (`acdesign reproduce | head`); what is
         # still buffered goes to devnull so that the exit flush stays quiet

@@ -290,16 +290,10 @@ class DrugModel:
 
     def regression_vector(self, d: float) -> np.ndarray:
         """Vector f with f f^T equal to the mean-parameter block of fisher(d)."""
-        self._check_dose(d)
-        eta = self.mean.value(d)
-        if eta == 0.0 and self.family.zero_limit is not None:
-            return self._zero_mean_row()
-        if eta >= 1.0 and self.family.probability:
-            raise SingularInformationError(f"success probability {eta} at dose {d}")
-        return self.family.row(self.mean.gradient(d), eta)
+        return self.regression_rows([d])[0]
 
     def regression_rows(self, doses) -> np.ndarray:
-        """regression_vector at each dose of an array, stacked to shape (n, m)."""
+        """Regression vectors at each dose of an array, stacked to shape (n, m)."""
         d = np.asarray(doses, float)
         L, R = self.dose_range
         outside = ~((L - 1e-12 <= d) & (d <= R + 1e-12))

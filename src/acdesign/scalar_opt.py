@@ -1,5 +1,5 @@
-"""Search utilities: golden-section maximization, guarded bisection and the
-discrete Chebyshev (minimax) fit."""
+"""Search utilities: guarded bisection, the discrete Chebyshev (minimax) fit
+and golden-section maximization, which the package itself does not call."""
 
 from __future__ import annotations
 
@@ -17,6 +17,7 @@ _RANK_RTOL = 1e-12
 _SCAN = 64  # subintervals of bracketed_root's sign-change scan
 
 
+# unused: bench/tracing.py counts calls through this name (ROADMAP item 1)
 def golden_max(f, a: float, b: float, tol: float) -> tuple[float, float]:
     """Golden-section maximization of a unimodal f on [a, b].
 

@@ -61,7 +61,7 @@ from .models import (
     Poisson,
     target_dose_grad,
 )
-from .scalar_opt import bracketed_root, golden_max, minimax
+from .scalar_opt import bracketed_root, minimax
 
 _log = logging.getLogger("acdesign")
 
@@ -76,6 +76,10 @@ SLOPE_STATIONARY = 1e-7  # the same for the sensitivity slope at a support dose
 # support that the worst point of the equivalence check can change
 ROUND_STEPS = 50
 LP_GRID_SIZE = 401  # doses in the Elfving LP of c_opt_numeric
+POLISH_STEPS = 30  # cap on the Newton steps of _polish_support
+POLISH_REACH = 0.02  # _polish_support's largest dose move, as a share of R-L
+POLISH_ROUNDING = 1e-13  # a bound rise below this share is rounding, not a worse support
+REDUCE_STEPS = 8  # Gauss-Newton steps of _reduced_support on each shorter support
 NEG_INF_SURROGATE = -50.0  # the smooth p on which numeric_solve chases p = -inf
 
 
@@ -367,8 +371,9 @@ def c_opt_numeric(drug: DrugModel, c_vector: np.ndarray) -> ElfvingSolution:
     dose grid and, if it holds, returns it without the LP.  Otherwise the
     LP runs once on that grid; `_copt_lp` solves it as a minimax fit.  Its
     basic solution has at most n_mean_params support points (Elfving
-    1952); golden-section moves of the interior doses then lower the
-    variance bound of the support (`_support_delta`).  d* stays off the
+    1952); Newton steps on Elfving's condition then move the interior doses
+    onto the extrema of u.f, which lowers the variance bound of the support
+    (`_polish_support`, `_support_delta`).  d* stays off the
     grid: with it, the LP can return the declined one-point design when the
     better support lies between grid doses, and one dose cannot be polished.
     The one-point design at d* is still preferred whenever it attains the
@@ -409,39 +414,108 @@ def _support_delta(F: np.ndarray, c: np.ndarray) -> tuple[float, np.ndarray]:
 
 
 def _polish_support(drug: DrugModel, c: np.ndarray, doses):
-    """Refine interior support doses by golden-section on the variance bound.
+    """Move interior support doses onto the extrema of u.f by Newton steps.
+
+    By Elfving's theorem each interior dose of a c-optimal support is a local
+    extremum of u.f(d), where F u = sign(a) for the support's rows F and
+    coefficients a (`_support_delta`).  Each step moves every interior dose
+    by one Newton step on the slope of sign(a_i) u.f, with u from the
+    current support; slope and curvature are central differences at
+    1e-6 (R - L) and 1e-4 (R - L), from one `regression_rows` call, on
+    stencils shifted inside the range.  A dose where the curvature is not
+    negative moves POLISH_REACH (R - L) up the slope; none moves past a
+    range end.  The step is halved until the bound falls (to within
+    POLISH_ROUNDING), which keeps two inner doses that converge on one
+    extremum from making the support singular, and the steps stop once they
+    are at most 1e-10 (R - L).  Only full supports, one dose per entry of c,
+    move.  A full step that raises the bound has met a kink, where a
+    coefficient vanishes, or two merging doses: the optimum may have fewer
+    points, and `_reduced_support` looks for them once.
 
     Returns the doses, those within 1e-9 (R - L) of a range end moved onto
     it, and the bound.
     """
     L, R = drug.dose_range
-    doses = sorted(float(d) for d in doses)
+    width = R - L
+    doses = np.sort(np.asarray(doses, float))
     F = drug.regression_rows(doses)
-    delta, _ = _support_delta(F, c)
+    delta, a = _support_delta(F, c)
+    h1, h2, reach, tol = 1e-6 * width, 1e-4 * width, POLISH_REACH * width, 1e-10 * width
+    tried = False  # whether _reduced_support ran
     # only full supports keep the representation feasible while a dose moves
-    if len(doses) >= c.size and np.isfinite(delta):
-        span = 0.02 * (R - L)
-        for _ in range(3):
-            for i, d in enumerate(doses):
-                if d <= L + 1e-12 * (R - L) or d >= R - 1e-12 * (R - L):
-                    continue
-                trial = F.copy()
+    for _ in range(POLISH_STEPS if len(doses) == c.size and np.isfinite(delta) else 0):
+        inner = (doses > L + 1e-12 * width) & (doses < R - 1e-12 * width)
+        if not inner.any():
+            break
+        sign, x = np.sign(a), doses[inner]
+        x1, x2 = np.clip(x, L + h1, R - h1), np.clip(x, L + h2, R - h2)
+        stencil = np.concatenate([x1 - h1, x1 + h1, x2 - h2, x2, x2 + h2])
+        # sign(a_i) u.f on each stencil, which peaks at an optimal dose
+        g = sign[inner] * (drug.regression_rows(stencil) @ np.linalg.solve(F, sign)).reshape(5, -1)
+        slope = (g[1] - g[0]) / (2.0 * h1)
+        curv = (g[2] - 2.0 * g[3] + g[4]) / (h2 * h2)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = np.where(curv < 0.0, x1 - slope / curv - x, np.sign(slope) * reach)
+        step = np.clip(step, np.maximum(-reach, L - x), np.minimum(reach, R - x))
+        size = float(np.max(np.abs(step)))
+        t = 1.0
+        while t * size > tol:
+            trial = doses.copy()
+            trial[inner] = np.clip(x + t * step, L, R)
+            rows = drug.regression_rows(trial)
+            delta_t, a_t = _support_delta(rows, c)
+            if delta_t <= delta * (1.0 + POLISH_ROUNDING):
+                doses, F, delta, a = trial, rows, delta_t, a_t
+                break
+            if not tried:
+                # a full Newton step that raises the bound has met a kink
+                tried, shorter = True, _reduced_support(drug, c, doses, a, delta)
+                if shorter is not None:
+                    doses, delta = shorter
+                    break
+            t *= 0.5
+        else:
+            break  # converged, or no step lowers the bound
+        if len(doses) < c.size:
+            break
+    snap = 1e-9 * width
+    return [L if d - L <= snap else (R if R - d <= snap else float(d)) for d in doses], delta
 
-                def merit(x: float) -> float:
-                    trial[i] = drug.regression_vector(x)
-                    dval, _ = _support_delta(trial, c)
-                    return -dval if np.isfinite(dval) else -1e300
 
-                x_new, m_new = golden_max(
-                    merit, max(L, d - span), min(R, d + span), 1e-10 * (R - L)
-                )
-                if np.isfinite(m_new) and -m_new < delta:
-                    doses[i] = x_new
-                    F[i] = drug.regression_vector(x_new)
-                    delta = -m_new
-            span *= 0.1
-    snap = 1e-9 * (R - L)
-    return [L if d - L <= snap else (R if R - d <= snap else d) for d in doses], delta
+def _reduced_support(drug: DrugModel, c: np.ndarray, doses: np.ndarray, a: np.ndarray,
+                     delta: float):
+    """A shorter support whose bound is within 1e-12 (relative) of delta, or None.
+
+    The doses with the largest |a| are kept, one fewer each round, and
+    Gauss-Newton steps on their interior doses bring c into their span: the
+    residual r = (I - P) c, with P the projection on the rows, moves with
+    dose i as -(I - P) f'(d_i) a_i (Kaufman's variable-projection step).
+    Returns the doses and bound of the best support found.
+    """
+    L, R = drug.dose_range
+    width = R - L
+    h = 1e-6 * width
+    best = None
+    order = np.argsort(-np.abs(a), kind="stable")
+    for k in range(len(doses) - 1, 0, -1):
+        y = np.sort(doses[order[:k]])
+        for _ in range(REDUCE_STEPS):
+            F = drug.regression_rows(y)
+            coef = np.linalg.lstsq(F.T, c, rcond=None)[0]
+            r = c - F.T @ coef
+            inner = (y > L + 1e-12 * width) & (y < R - 1e-12 * width)
+            if np.max(np.abs(r)) <= 1e-14 * np.max(np.abs(c)) or not inner.any():
+                break
+            z = np.clip(y[inner], L + h, R - h)
+            slopes = (drug.regression_rows(z + h) - drug.regression_rows(z - h)) / (2.0 * h)
+            Q = np.linalg.qr(F.T)[0]
+            J = slopes.T * coef[inner]
+            J -= Q @ (Q.T @ J)
+            y[inner] = np.clip(y[inner] + np.linalg.lstsq(J, r, rcond=None)[0], L, R)
+        delta_k = _support_delta(drug.regression_rows(y), c)[0]
+        if delta_k <= (delta if best is None else best[1]) * (1.0 + 1e-12):
+            best = (y, delta_k)
+    return best
 
 
 def _one_point_candidate(drug: DrugModel, c: np.ndarray) -> Optional[float]:

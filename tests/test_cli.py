@@ -172,6 +172,26 @@ def test_verify_rejects_invalid_tolerance_and_grid(tmp_path, capsys, flags):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+HUGE_GRID = 10**11  # 745 GiB of doses: numpy refuses the array before touching memory
+
+
+def test_grid_too_large_to_allocate_exits_2(tmp_path, capsys):
+    phi = write(tmp_path, "phi.scn", MIGRAINE_BINOMIAL_PHI)
+    design = tmp_path / "design.csv"
+    design.write_text("dose,arm,weight\n0,0,0.2\n20,0,0.2\n200,0,0.2\n0,1,0.4\n")
+    keyed = write(tmp_path, "keyed.scn", MIGRAINE_BINOMIAL_PHI.replace(
+        "solver.grid_size = 129", f"solver.grid_size = {HUGE_GRID}"))
+    runs = [["verify", phi, str(design), "--out", str(tmp_path), "--grid", str(HUGE_GRID)],
+            ["solve", phi, "--out", str(tmp_path), "--grid", str(HUGE_GRID)],
+            ["efficiency", phi, str(design), "--grid", str(HUGE_GRID)],
+            ["solve", keyed, "--out", str(tmp_path)]]
+    for argv in runs:
+        assert main(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, argv
+        assert "allocate" in err, argv  # the grid, not another check, was refused
+
+
 def test_solver_seed_is_accepted_and_ignored(tmp_path):
     # the solver has one deterministic start, so no seed value can break it
     scn = write(tmp_path, "s.scn", REMARK1.replace("solver.seed = 1", "solver.seed = -1"))

@@ -500,6 +500,134 @@ def test_c_opt_numeric_matches_a_highs_elfving_lp(drug, c):
     assert sol.delta == pytest.approx(delta, rel=1e-9)
 
 
+def _reference_polish_support(drug, c, doses):
+    """The golden-section support polish that Newton steps on Elfving's condition replaced.
+
+    Three passes move each interior dose to the best variance bound within
+    2 %, 0.2 % and 0.02 % of the range, to 1e-10 (R - L).
+    """
+    from acdesign import solvers
+    from acdesign.scalar_opt import golden_max
+
+    L, R = drug.dose_range
+    doses = sorted(float(d) for d in doses)
+    F = drug.regression_rows(doses)
+    delta, _ = solvers._support_delta(F, c)
+    if len(doses) >= c.size and np.isfinite(delta):
+        span = 0.02 * (R - L)
+        for _ in range(3):
+            for i, d in enumerate(doses):
+                if d <= L + 1e-12 * (R - L) or d >= R - 1e-12 * (R - L):
+                    continue
+                trial = F.copy()
+
+                def merit(x: float) -> float:
+                    trial[i] = drug.regression_vector(x)
+                    dval, _ = solvers._support_delta(trial, c)
+                    return -dval if np.isfinite(dval) else -1e300
+
+                x_new, m_new = golden_max(
+                    merit, max(L, d - span), min(R, d + span), 1e-10 * (R - L)
+                )
+                if np.isfinite(m_new) and -m_new < delta:
+                    doses[i] = x_new
+                    F[i] = drug.regression_vector(x_new)
+                    delta = -m_new
+            span *= 0.1
+    snap = 1e-9 * (R - L)
+    return [L if d - L <= snap else (R if R - d <= snap else d) for d in doses], delta
+
+
+def _lp_support(drug, c):
+    """The support of c_opt_numeric's Elfving LP, before the polish."""
+    from acdesign import solvers
+
+    L, R = drug.dose_range
+    doses = np.linspace(L, R, solvers.LP_GRID_SIZE)
+    z = solvers._copt_lp(drug.regression_rows(doses), c)
+    return doses[np.abs(z) > 1e-10 * np.max(np.abs(z))]
+
+
+_GOUTY_CONTRASTS = np.random.default_rng(7).normal(size=(20, 3))
+
+
+def _polish_inputs():
+    """(drug, c) of the gouty negative binomial AC problem, the Elfving cases
+    and 20 random contrasts on each gouty model."""
+    drug, ctrl = gouty_models("negative_binomial")
+    yield drug, target_dose_grad(drug, ctrl)[0][:3]
+    yield from _elfving_cases()
+    for family in ("normal", "negative_binomial"):
+        drug, _ = gouty_models(family)
+        for c in _GOUTY_CONTRASTS:
+            yield drug, c
+
+
+def test_newton_polish_is_no_worse_than_the_golden_section_reference():
+    from acdesign import solvers
+
+    count = 0
+    for drug, c in _polish_inputs():
+        support = _lp_support(drug, c)
+        doses, delta = solvers._polish_support(drug, c, support)
+        reference = _reference_polish_support(drug, c, support)[1]
+        assert delta <= reference * (1.0 + 1e-10), (drug, c)
+        # the support is never singular, and its bound is the one returned
+        F = drug.regression_rows(doses)
+        assert np.linalg.matrix_rank(F) == len(doses)
+        assert solvers._support_delta(F, c)[0] == pytest.approx(delta, rel=1e-12)
+        count += 1
+    assert count == 52
+
+
+def test_two_inner_doses_that_converge_leave_one_dose():
+    # the 5th contrast's LP support is {7.5, 8.25, 300}, and its optimum has
+    # two points: golden-section steps end with the inner doses at 8.185058
+    # and 8.185097, where the Newton steps meet the kink at which the
+    # coefficient of one inner dose vanishes, and keep the other alone
+    from acdesign import solvers
+
+    c = _GOUTY_CONTRASTS[4]
+    for family in ("normal", "negative_binomial"):
+        drug, _ = gouty_models(family)
+        support = _lp_support(drug, c)
+        assert support.tolist() == [7.5, 8.25, 300.0]
+        doses, delta = solvers._polish_support(drug, c, support)
+        reference_doses, reference = _reference_polish_support(drug, c, support)
+        assert reference_doses[0] == pytest.approx(8.185058, abs=1e-6)
+        assert len(doses) == 2 and doses[1] == 300.0
+        assert doses[0] == pytest.approx(reference_doses[0], abs=1e-7)
+        assert delta == pytest.approx(reference, rel=1e-12)
+        sol = c_opt_numeric(drug, c)
+        assert sol.doses == tuple(doses) and sol.delta == pytest.approx(delta, rel=1e-12)
+
+
+def _left_threshold_cases():
+    """(drug, c) whose Michaelis-Menten closed form has a left tangency threshold."""
+    cases = [(DrugModel(Normal(1.0), MichaelisMenten(2.0, 2.0), (0.1, 50.0)), 0.5),
+             (DrugModel(Poisson(), MichaelisMenten(2.5, 1.5), (0.02, 10.0)), 0.2),
+             (DrugModel(Binomial(), MichaelisMenten(0.95, 2.0), (0.0, 50.0)), 0.5)]
+    for seed in range(20, 30):
+        for drug, _ in _mm_draws(seed):
+            cases += [(drug, share * drug.dose_range[1]) for share in (0.002, 0.01, 0.03)]
+    for drug, dstar in cases:
+        c = _c_for(drug, dstar)
+        if c_opt_elfving_2d(drug, c).case_tag == "left-threshold":
+            yield drug, c
+
+
+def test_lp_route_finds_the_left_tangency_threshold():
+    count = 0
+    for drug, c in _left_threshold_cases():
+        closed, lp = c_opt_elfving_2d(drug, c), c_opt_numeric(drug, c)
+        L, R = drug.dose_range
+        assert len(lp.doses) == 2 and lp.doses[1] == closed.doses[1] == R
+        assert abs(lp.doses[0] - closed.doses[0]) <= 2.5e-9 * (R - L)
+        assert lp.delta == pytest.approx(closed.delta, rel=1e-12)
+        count += 1
+    assert count == 81
+
+
 def test_c_opt_numeric_rejects_a_zero_contrast():
     drug, _ = gouty_models("normal")
     with pytest.raises(EstimabilityError):

@@ -20,6 +20,11 @@ For every problem of both scans, `numeric_solve` with the AC criterion must
 return the `ac_optimal` design, and that design must verify optimal at
 grid 2: the null-adjusted witness is fitted on a grid of its own.
 
+Every variance bound that the LP route returns from `_polish_support` must
+be at most 1 + 1e-12 times the bound 1/gamma^2 of a dense Elfving LP on
+20,001 doses, which is never polished.  The scan prints the number of such
+bounds and the total time spent in `_polish_support`.
+
 Every problem that misses a check is named; the scan exits 1 if any does.
 """
 
@@ -29,6 +34,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 DRAWS = 60
+DENSE_GRID = 20001  # doses of the unpolished Elfving LP that bounds every polished bound
 
 
 def draws(curve: str, seed: int):
@@ -70,7 +76,45 @@ def route_misses(drug, control, design) -> list[str]:
     return misses
 
 
-def scan_closed_forms() -> int:
+class PolishLog:
+    """Stands in for `solvers._polish_support`: records each call and its time."""
+
+    def __init__(self):
+        from acdesign import solvers
+
+        self.calls, self.seconds, self.name = {}, 0.0, None
+        self._polish = solvers._polish_support
+        solvers._polish_support = self
+
+    def __call__(self, drug, c, doses):
+        start = time.perf_counter()
+        result = self._polish(drug, c, doses)
+        self.seconds += time.perf_counter() - start
+        self.calls[(self.name, tuple(c))] = (drug, c, result[1])
+        return result
+
+    def dense_misses(self) -> int:
+        """Polished bounds above the bound of a dense LP's support; the misses."""
+        import numpy as np
+
+        from acdesign import solvers
+
+        bad = 0
+        for (name, _), (drug, c, delta) in self.calls.items():
+            grid = np.linspace(*drug.dose_range, DENSE_GRID)
+            F = drug.regression_rows(grid)
+            # gamma c = F^T z for the LP's signed mass z, and the bound is 1/gamma^2
+            gamma = float(c @ (F.T @ solvers._copt_lp(F, c))) / float(c @ c)
+            dense = 1.0 / gamma**2
+            if not delta <= dense * (1.0 + 1e-12):
+                bad += 1
+                print(f"  {name}: polished bound {delta:.12g} above the dense LP's {dense:.12g}")
+        print(f"  {len(self.calls)} polished LP-route bounds, {bad} above the dense LP's; "
+              f"{1e3 * self.seconds:.1f} ms in _polish_support")
+        return bad
+
+
+def scan_closed_forms(log: PolishLog) -> int:
     """Check the Michaelis-Menten closed forms against the LP; the misses."""
     from collections import Counter
 
@@ -81,6 +125,7 @@ def scan_closed_forms() -> int:
 
     tags, bad = Counter(), 0
     for name, drug, control in draws("mm", 4):
+        log.name = name
         c = response_gradient(drug, target_dose(drug, control))[: drug.n_mean_params]
         closed, lp = c_opt_elfving_2d(drug, c), c_opt_numeric(drug, c)
         design = ac_optimal(drug, control)
@@ -109,7 +154,9 @@ def main() -> int:
 
     problems = bad = 0
     start = time.perf_counter()
+    log = PolishLog()
     for name, drug, control in models():
+        log.name = name
         solvers._one_point_certified = recorded
         design = ac_optimal(drug, control)
         solvers._one_point_certified = lambda *args: False
@@ -125,7 +172,8 @@ def main() -> int:
     # each problem makes one c_opt_numeric call
     print(f"  {problems} problems: {sum(outcomes)} certified, "
           f"{problems - sum(outcomes)} took the LP, {bad} differ or not optimal")
-    bad += scan_closed_forms()
+    bad += scan_closed_forms(log)
+    bad += log.dense_misses()
     print(f"  {time.perf_counter() - start:.1f} s")
     return 1 if bad else 0
 
