@@ -5,22 +5,23 @@ its information matrix makes the sensitivity function nonpositive over the
 whole design space, with equality on the support.  `verify` and
 `sensitivity` take W and the threshold from `_Criterion.analyze`, the
 analysis on which the solver's loop stops, with G the Moore-Penrose
-inverse.  The drug-arm sensitivity is evaluated in batches, one call of
-`_Information.rows` on stacked regression rows for the dose grid and one
-for each refinement pass of `grid_peak`.  For rank-deficient information
-with a one-column contrast the null-space family of generalized inverses
-is searched, since the pseudo inverse alone can fail to witness optimality
-of singular designs; that search is one discrete Chebyshev fit on a fixed
-dose grid, which `scalar_opt.minimax` solves.
+inverse.  The drug-arm sensitivity is a ratio of polynomials in
+d/(ed50 + d), so `stationary_doses` finds its peaks exactly; `verify`
+evaluates them together with its dose grid in one call of
+`_Information.rows` on stacked regression rows.  For rank-deficient
+information with a one-column contrast the null-space family of
+generalized inverses is searched, since the pseudo inverse alone can fail
+to witness optimality of singular designs; that search is one discrete
+Chebyshev fit on a fixed dose grid, which `scalar_opt.minimax` solves.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+from numpy.polynomial import polynomial
 # unused: bench/tracing.py counts calls through this name (ROADMAP item 1)
 from scipy.optimize import linprog  # noqa: F401
 
@@ -30,9 +31,12 @@ from .exceptions import EstimabilityError, UnsupportedCaseError
 from .models import ControlModel, DrugModel
 from .scalar_opt import minimax
 
-# grid_peak's refinement passes; each evaluates its doses in one batch
-_PASSES = 3
 VERIFY_GRID = 512  # doses of verify's default grid and of the null-adjusted witness's fit
+# stationary_doses' Chebyshev nodes on [-1, 1], the map from a quartic's values
+# there to its power-series coefficients, and the exponents that differentiate them
+_NODES = np.cos((np.arange(5) + 0.5) * np.pi / 5)
+_POWER_FIT = np.linalg.inv(np.vander(_NODES, 5, increasing=True))
+_POWERS = np.arange(1.0, 5.0)
 
 
 class _Criterion(_Information):
@@ -78,33 +82,32 @@ class _Criterion(_Information):
         return (value - threshold) / abs(threshold)
 
 
-def grid_peak(f, doses: np.ndarray, values: np.ndarray, tol: float) -> tuple[float, float]:
-    """(dose, value) of the peak of f, whose values at the sorted doses are given.
+def stationary_doses(drug: DrugModel, W: np.ndarray) -> np.ndarray:
+    """The range ends and the stationary doses of the drug-arm sensitivity, sorted.
 
-    f maps an array of doses to their values.  The search starts from the
-    bracket between the neighbours of the grid argmax; each pass evaluates
-    k evenly spaced interior doses in one call of f and narrows the bracket
-    to the two neighbours of the best point seen so far.  k is chosen so
-    that _PASSES passes shrink the bracket below tol, so for a unimodal f
-    the argmax is found within tol.  The grid point is kept unless a
-    sampled dose is strictly higher.
+    In the saturation u = d/(ed50 + d), which increases with d, eta is
+    linear and the mean gradient g quadratic, so for all four families the
+    sensitivity is A/Q plus a constant, with A = g^T W11 g a quartic and
+    Q = 1/w(eta) of degree at most 3.  Both are fitted as power series at
+    five Chebyshev nodes of the range of u; the doses are the real roots of
+    A'Q - AQ' there, with a generous cut on the imaginary part, as a
+    spurious root costs one evaluation.  The sensitivity is monotone
+    between neighbouring doses of the result, so its peak is at one of them.
     """
-    i = int(np.argmax(values))
-    best, v_best = float(doses[i]), float(values[i])
-    a, b = float(doses[max(i - 1, 0)]), float(doses[min(i + 1, doses.size - 1)])
-    # each pass leaves at most 2 / (k + 1) of the bracket
-    k = math.ceil(2.0 * ((b - a) / tol) ** (1.0 / _PASSES))
-    for _ in range(_PASSES):
-        if b - a <= tol:
-            break
-        h = (b - a) / (k + 1)
-        x = a + h * np.arange(1, k + 1)
-        y = f(x)
-        j = int(np.argmax(y))
-        if y[j] > v_best:
-            best, v_best = float(x[j]), float(y[j])
-        a, b = float(x[x < best].max(initial=a)), float(x[x > best].min(initial=b))
-    return best, v_best
+    L, R = drug.dose_range
+    m, ed50 = drug.n_mean_params, drug.mean.ed50
+    lo, hi = L / (ed50 + L), R / (ed50 + R)
+    u = lo + 0.5 * (_NODES + 1.0) * (hi - lo)
+    d = ed50 * u / (1.0 - u)
+    g = drug.mean.gradient(d)
+    a = _POWER_FIT @ np.einsum("in,ij,jn->n", g, W[:m, :m], g)
+    q = _POWER_FIT @ np.broadcast_to(1.0 / drug.family.weight(drug.mean.value(d)), u.shape)
+    slope = np.convolve(a[1:] * _POWERS, q) - np.convolve(a, q[1:] * _POWERS)
+    # Q may have lower degree than A; rounding in its top coefficients would
+    # put a huge root in the companion matrix, at the others' expense
+    roots = polynomial.polyroots(polynomial.polytrim(slope, 1e-13 * np.abs(slope).max()))
+    u = lo + 0.5 * (roots[np.abs(roots.imag) <= 1e-2].real + 1.0) * (hi - lo)
+    return np.unique(np.clip(np.concatenate([[L, R], ed50 * u / (1.0 - u)]), L, R))
 
 
 def sensitivity(
@@ -162,8 +165,10 @@ def verify(
     """Check local optimality of a design against its criterion.
 
     The normalized sensitivity is evaluated on a uniform dose grid plus the
-    design support and the control point; `grid_peak` refines the grid
-    maximum in batched passes, and the support residuals are read off the
+    design support, the control point and the exact stationary doses of
+    `stationary_doses`, so the maximum violation, and with it the verdict,
+    does not depend on grid_size, which sets only the doses reported in
+    grid_doses and grid_values.  The support residuals are read off the
     grid.  When that shows a violation for a one-column contrast and a
     singular information matrix, the one generalized inverse that
     `_null_adjusted` fits on its fixed grid is tried, and its report kept
@@ -205,19 +210,18 @@ def _evaluate(
     criterion: _Criterion, design: Design, W: np.ndarray, threshold: float,
     grid_size: int, tol: float,
 ) -> SensitivityReport:
-    L, R = criterion.drug.dose_range
-    doses = np.unique(
-        np.concatenate([np.linspace(L, R, grid_size), [L, R], design.drug_doses])
-    )
-
-    def drug_values(d: np.ndarray) -> np.ndarray:
-        return (criterion.rows(W, criterion.drug.regression_rows(d)) - threshold) / abs(threshold)
-
-    values = drug_values(doses)
+    drug = criterion.drug
+    L, R = drug.dose_range
+    doses = np.unique(np.concatenate([np.linspace(L, R, grid_size), design.drug_doses]))
+    # the stationary doses ride in the grid's batch; only the grid is reported
+    candidates = np.concatenate([doses, stationary_doses(drug, W)])
+    all_values = (criterion.rows(W, drug.regression_rows(candidates)) - threshold) / abs(threshold)
+    values = all_values[: doses.size]
     # the joint design space always contains the control point
     control_value = criterion.normalized(W, threshold, (0.0, ARM_CONTROL))
-    argmax_dose, max_drug = grid_peak(drug_values, doses, values, 1e-8 * (R - L))
-    max_violation = max(max_drug, control_value)
+    top = int(np.argmax(all_values))  # a grid dose wins a tie
+    argmax_dose = candidates[top]
+    max_violation = max(float(all_values[top]), control_value)
     # np.unique keeps each support dose exactly, so its value is on the grid
     support_points = list(design.points)
     support_residuals = [

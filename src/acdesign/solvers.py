@@ -44,7 +44,7 @@ from .designs import (
     pinv_contrast,
     pseudo_inverse,
 )
-from .equivalence import VERIFY_GRID, SensitivityReport, _Criterion, grid_peak, verify
+from .equivalence import VERIFY_GRID, SensitivityReport, _Criterion, stationary_doses, verify
 from .exceptions import (
     EstimabilityError,
     InfeasibleGeometryError,
@@ -67,7 +67,7 @@ _log = logging.getLogger("acdesign")
 
 MERGE_FRACTION = 1e-6  # support doses closer than this fraction of R-L merge
 GAP_STOP = 1.3  # the grid sweeps stop at phi_p efficiency >= 1/GAP_STOP
-WEIGHT_TOLERANCE = 1e-4  # least grid weight of a sensitivity peak's basin that starts the polish
+WEIGHT_TOLERANCE = 1e-4  # least grid weight nearest a sensitivity peak that starts the polish
 FALLBACK_DOSES = 16  # start doses when the sensitivity peaks do not estimate
 ROUNDING = 1e-10  # relative margin above the ~1e-11 rounding of criterion values
 STATIONARY = 1e-11  # weight gradient residual at which the Newton polish stops
@@ -87,9 +87,8 @@ NEG_INF_SURROGATE = -50.0  # the smooth p on which numeric_solve chases p = -inf
 class SolveOptions:
     """Settings of numeric_solve.
 
-    grid_size is the dose grid of the first weight solve and of the
-    violation search, and max_iterations caps the Newton steps of all polish
-    rounds.
+    grid_size is the dose grid of the first weight solve, and max_iterations
+    caps the Newton steps of all polish rounds.
     multistart_count and seed are accepted and ignored: the solver has one
     deterministic start.
     """
@@ -675,7 +674,8 @@ def numeric_solve(
     certified with the equivalence theorem.
 
     The loop stops for one of three reasons, reported as ``stop_reason``:
-    ``"certified"`` when the equivalence violation falls to 1e-9,
+    ``"certified"`` when the equivalence violation, at the exact
+    sensitivity maximum (`_worst_point`), falls to 1e-9,
     ``"capped"`` once the Newton steps, which ``iterations`` counts, reach
     ``max_iterations`` (also logged as a warning on the ``acdesign``
     logger), and ``"stalled"`` when a polish round raises the criterion by
@@ -704,11 +704,11 @@ def numeric_solve(
     if sweep is None:
         raise EstimabilityError("the uniform grid design does not estimate the contrast")
     wd, wc, (_, W, *_) = sweep
-    state = _peak_start(problem.rows(W, Fgrid), grid, wd, wc)
+    state = _peak_start(problem, W, grid, wd, wc)
     res = problem.analyze(problem.matrix(*state))
     if res is None:
-        # on a coarse grid, or where the sweeps stop at once (p > 0), two
-        # support doses can share one basin; then each of FALLBACK_DOSES
+        # where the sweeps stop early (p > 0) the sensitivity can have fewer
+        # peaks than the contrast needs doses; then each of FALLBACK_DOSES
         # equal runs of grid doses starts as one dose
         runs = np.arange(grid.size) * min(FALLBACK_DOSES, grid.size) // grid.size
         mass = np.bincount(runs, wd)
@@ -797,28 +797,24 @@ def _weight_sweeps(problem: _Criterion, doses, wd, wc, F, gap):
         wd, wc = wd / total, wc / total
 
 
-def _peak_start(s, grid, wd, wc):
-    """One support dose per local maximum of the grid sensitivity s.
+def _peak_start(problem: _Criterion, W, grid, wd, wc):
+    """One support dose per local maximum of the drug-arm sensitivity under W.
 
-    Each grid dose climbs to its higher neighbour until it reaches a local
-    maximum; the doses that reach the same one form its basin, which spans
-    the grid up to the neighbouring local minima.  A basin's grid weight
-    goes to its weight-averaged dose.  Basins lighter than WEIGHT_TOLERANCE
-    are dropped, unless every basin is.
+    The sensitivity is monotone between neighbouring doses of
+    `stationary_doses`, so after a run of equal values (a flat stretch, or
+    rounding) has been cut to its first dose, its local maxima are the doses
+    above both neighbours.  Each grid dose's weight goes to the nearest
+    maximum, and maxima lighter than WEIGHT_TOLERANCE are dropped, unless
+    every one is.
     """
-    padded = np.concatenate([[-np.inf], s, [-np.inf]])
-    window = np.stack([padded[:-2], padded[1:-1], padded[2:]])
-    up = np.arange(s.size) - 1 + np.argmax(window, axis=0)
-    while True:  # pointer jumping: each pass doubles the climbed distance
-        top = up[up]
-        if np.array_equal(top, up):
-            break
-        up = top
-    _, basin = np.unique(up, return_inverse=True)
-    mass = np.bincount(basin, wd)
+    doses = stationary_doses(problem.drug, W)
+    v = problem.rows(W, problem.drug.regression_rows(doses))
+    first = np.append(True, v[1:] != v[:-1])
+    doses, v = doses[first], np.concatenate([[-np.inf], v[first], [-np.inf]])
+    doses = doses[(v[1:-1] > v[:-2]) & (v[1:-1] > v[2:])]
+    mass = np.bincount(np.searchsorted(0.5 * (doses[1:] + doses[:-1]), grid), wd, doses.size)
     keep = mass >= min(WEIGHT_TOLERANCE, float(mass.max()))
-    doses = np.bincount(basin, wd * grid)[keep] / mass[keep]
-    return _normalized(doses, mass[keep], wc)
+    return _normalized(doses[keep], mass[keep], wc)
 
 
 def _polish(problem: _Criterion, state, res, with_control: bool, budget: int):
@@ -986,13 +982,12 @@ def _face_step(g, H, free, weights, delta):
 def _worst_point(problem: _Criterion, W, threshold, grid, Fgrid):
     """Normalized equivalence violation and its point (None: the control).
 
-    `grid_peak` refines the grid maximum in batched passes between its
-    neighbours; the control point is compared last.
+    The drug arm's maximum is taken over the grid and the exact stationary
+    doses of `stationary_doses`; the control point is compared last.
     """
-    L, R = problem.drug.dose_range
-    d_best, v_best = grid_peak(
-        lambda ds: problem.rows(W, problem.drug.regression_rows(ds)), grid,
-        problem.rows(W, Fgrid), 1e-9 * (R - L),
-    )
-    v_top, d_top = max([(v_best, d_best), (problem.at_control(W), None)], key=lambda t: t[0])
+    extra = stationary_doses(problem.drug, W)
+    values = problem.rows(W, np.concatenate([Fgrid, problem.drug.regression_rows(extra)]))
+    i = int(np.argmax(values))
+    v_top, d_top = max([(float(values[i]), float(np.append(grid, extra)[i])),
+                        (problem.at_control(W), None)], key=lambda t: t[0])
     return (v_top - threshold) / abs(threshold), d_top

@@ -326,120 +326,123 @@ def test_support_residual_above_tol_is_inconclusive():
     assert rep.support_residuals[-1] == pytest.approx(0.123, abs=1e-3)
 
 
-# -- grid_peak against a golden-section oracle ---------------------------------
+# -- stationary_doses against a dense-grid and golden-section oracle ------------
 
 _INV_PHI = (np.sqrt(5.0) - 1.0) / 2.0
 
 
-def _golden_oracle(f, doses, values, tol):
-    """Golden-section search, one scalar dose at a time, between the
-    neighbours of the grid argmax; the grid point wins only when strictly
-    higher.  f maps an array of doses to their values."""
-    i = int(np.argmax(values))
-    a, b = float(doses[max(i - 1, 0)]), float(doses[min(i + 1, doses.size - 1)])
-
-    def g(x):
-        return float(f(np.array([x]))[0])
-
+def _golden(f, a, b, tol):
+    """(dose, value) of the maximum of a scalar f on [a, b] by golden-section
+    search, one dose at a time, down to a bracket of tol."""
     c, d = b - _INV_PHI * (b - a), a + _INV_PHI * (b - a)
-    yc, yd = g(c), g(d)
+    yc, yd = f(c), f(d)
     while b - a > tol:
         if yc > yd:
             b, d, yd = d, c, yc
             c = b - _INV_PHI * (b - a)
-            yc = g(c)
+            yc = f(c)
         else:
             a, c, yc = c, d, yd
             d = a + _INV_PHI * (b - a)
-            yd = g(d)
-    x, v = (c, yc) if yc > yd else (d, yd)
-    if values[i] > v:
-        return float(doses[i]), float(values[i])
-    return x, v
+            yd = f(d)
+    return (c, yc) if yc > yd else (d, yd)
 
 
-def _counted(f):
-    calls = []
-
-    def wrapped(x):
-        x = np.asarray(x, float)
-        calls.append(x.size)
-        return f(x)
-
-    return wrapped, calls
-
-
-def _check_against_oracle(f, doses, tol, peak=None):
-    """grid_peak calls f at most once per pass and is no lower than the
-    oracle, which is meaningful once tol leaves value errors below 1e-12;
-    given the true peak, it is within tol of it."""
+def _oracle_peaks(f, L, R, n=2001):
+    """(dose, value) of each local maximum of f on [L, R]: every local maximum
+    of a dense grid, the ends included, refined by golden-section search
+    between its grid neighbours; the grid dose stays unless beaten."""
+    doses = np.linspace(L, R, n)
     values = f(doses)
-    counted, calls = _counted(f)
-    d, v = equivalence.grid_peak(counted, doses, values, tol)
-    _, v_ref = _golden_oracle(f, doses, values, tol)
-    scale = max(1.0, float(np.max(np.abs(values))))
-    assert len(calls) <= equivalence._PASSES
-    assert doses[0] <= d <= doses[-1]
-    assert v == pytest.approx(float(f(np.array([d]))[0]), rel=0.0, abs=1e-12 * scale)
-    if tol <= 1e-8 * (doses[-1] - doses[0]):
-        assert v >= v_ref - 1e-12 * scale
-    if peak is not None:
-        assert abs(d - peak) <= tol
-    return d, v, calls
+    padded = np.concatenate([[-np.inf], values, [-np.inf]])
+    peaks = []
+    for i in np.flatnonzero((values >= padded[:-2]) & (values >= padded[2:])):
+        a, b = doses[max(i - 1, 0)], doses[min(i + 1, n - 1)]
+        d, v = _golden(lambda x: float(f(np.array([x]))[0]), a, b, 1e-12 * (R - L))
+        peaks.append((d, v) if v > values[i] else (doses[i], values[i]))
+    return peaks, float(np.max(np.abs(values)))
 
 
-_SMOOTH = [
-    (lambda x: -(x - 0.3137) ** 2, 0.3137),
-    (lambda x: np.exp(-((x - 0.71) / 0.05) ** 2), 0.71),
-    (lambda x: 2.5 * x * np.exp(-4.0 * x), 0.25),
-    (lambda x: np.cos(3.0 * (x - 0.52)), 0.52),
-    (lambda x: x**3 * (1.0 - x), 0.75),
-    (lambda x: 1.0 / (1.0 + ((x - 0.123456) / 0.1) ** 2), 0.123456),
-]
+def _check_stationary_doses(drug, W):
+    """The ends and the stationary doses split the range into stretches on
+    which the sensitivity is monotone, so their peak is the oracle's within
+    1e-12 of the sensitivity's scale, and every oracle peak has one of them
+    within 1e-6 (R - L).  Returns the oracle's peaks."""
+    L, R = drug.dose_range
+    m = drug.n_mean_params
+
+    def f(x):
+        F = drug.regression_rows(x)
+        return np.einsum("ij,jk,ik->i", F, W[:m, :m], F)
+
+    doses = equivalence.stationary_doses(drug, W)
+    oracle, scale = _oracle_peaks(f, L, R)
+    assert doses[0] == L and doses[-1] == R and np.all(np.diff(doses) > 0)
+    values = f(doses)
+    assert float(values.max()) >= max(v for _, v in oracle) - 1e-12 * scale
+    for d, v in oracle:
+        near = np.abs(doses - d) <= 1e-6 * (R - L)
+        assert near.any() and float(values[near].max()) >= v - 1e-12 * scale, (d, v, doses)
+    dense = np.linspace(L, R, 20001)
+    i = np.clip(doses.searchsorted(dense, "right"), 1, doses.size - 1)
+    assert np.all(f(dense) <= np.maximum(values[i - 1], values[i]) + 1e-12 * scale)
+    return oracle
 
 
-@pytest.mark.parametrize("f, peak", _SMOOTH)
-@pytest.mark.parametrize("grid", [9, 64, 512])
-def test_grid_peak_matches_golden_oracle_on_smooth_functions(f, peak, grid):
-    doses = np.unique(np.concatenate([np.linspace(0.0, 1.0, grid), [0.05, 0.4]]))
-    # the argmax is checked where tol is wider than the span over which f
-    # is flat to rounding, the value at the tolerance verify uses
-    for tol in (1e-3, 1e-6):
-        _check_against_oracle(f, doses, tol, peak)
-    _check_against_oracle(f, doses, 1e-8)
+def _check_peak_start(drug, W, oracle):
+    """solvers._peak_start puts each of its doses on a local maximum of the
+    sensitivity and keeps the whole drug weight."""
+    L, R = drug.dose_range
+    ctrl = ControlModel(Poisson(), 0.5)
+    problem = equivalence._Criterion(drug, ctrl, KMatrix.block_identity(
+        drug.n_params, ctrl.n_params), 0.0)
+    k = drug.n_params
+    Wfull = np.zeros((problem.size, problem.size))
+    Wfull[:k, :k] = W[:k, :k]
+    grid = np.linspace(L, R, 257)
+    doses, wd, wc = solvers._peak_start(problem, Wfull, grid, np.full(257, 0.8 / 257), 0.2)
+    peaks = np.array([d for d, _ in oracle])
+    assert np.all(np.abs(doses[:, None] - peaks).min(axis=1) <= 1e-6 * (R - L)), (doses, peaks)
+    assert wd.sum() == pytest.approx(0.8, rel=1e-12) and wc == pytest.approx(0.2, rel=1e-12)
 
 
-def test_grid_peak_at_the_ends_and_on_two_point_grids():
-    doses = np.linspace(2.0, 7.0, 40)
-    d, v, calls = _check_against_oracle(lambda x: -x, doses, 1e-8, peak=2.0)
-    assert (d, v) == (2.0, -2.0) and calls
-    d, v, _ = _check_against_oracle(lambda x: np.log(x), doses, 1e-8, peak=7.0)
-    assert (d, v) == (7.0, float(np.log(7.0)))
-    two = np.array([0.0, 1.0])
-    _check_against_oracle(lambda x: -(x - 0.6) ** 2, two, 1e-9, peak=0.6)
-    d, _, _ = _check_against_oracle(lambda x: x, two, 1e-9, peak=1.0)
-    assert d == 1.0
+def _family(name):
+    return {"normal": Normal(0.0025), "negative_binomial": NegativeBinomial(10),
+            "binomial": Binomial(), "poisson": Poisson()}[name]
 
 
-def test_grid_peak_keeps_the_grid_point_of_a_narrow_bracket():
-    doses = np.array([0.0, 0.5, 0.5 + 1e-10, 0.5 + 2e-10, 1.0])
-    f = lambda x: -(x - 0.5 - 1.3e-10) ** 2  # noqa: E731
-    d, v, calls = _check_against_oracle(f, doses, 1e-9, peak=0.5 + 1.3e-10)
-    assert d == doses[2] and calls == []
+def _random_drug(rng, family, curve, inner):
+    """A random model of the family and curve on [0, R], or on [R/10, R]."""
+    R = float(rng.choice([100.0, 200.0, 300.0]))
+    ed50 = float(rng.uniform(0.03, 0.15)) * R
+    if curve == "mm":
+        mean = MichaelisMenten(float(rng.uniform(0.4, 0.85)), ed50)
+    else:
+        mean = Emax(float(rng.uniform(0.05, 0.3)), float(rng.uniform(0.3, 0.6)), ed50)
+    return DrugModel(_family(family), mean, (0.1 * R if inner else 0.0, R))
 
 
-def test_grid_peak_keeps_a_grid_point_no_sample_beats():
-    doses = np.linspace(0.0, 1.0, 11)
-    f = lambda x: -np.abs(x - doses[4])  # noqa: E731
-    d, v, calls = _check_against_oracle(f, doses, 1e-8, peak=doses[4])
-    assert (d, v) == (doses[4], 0.0) and len(calls) == equivalence._PASSES
-    # a tie with a sampled dose keeps the grid point as well
-    d, v, _ = _check_against_oracle(lambda x: np.zeros_like(x), doses, 1e-8)
-    assert (d, v) == (0.0, 0.0)
+@pytest.mark.parametrize("inner", [False, True])
+@pytest.mark.parametrize("curve", ["mm", "emax"])
+@pytest.mark.parametrize("family", ["normal", "negative_binomial", "binomial", "poisson"])
+def test_stationary_doses_on_random_sensitivities(family, curve, inner):
+    # Michaelis-Menten on [0, R] with a count or probability family is the
+    # case where A and Q share the factor u, so the slope's numerator has a
+    # multiple root at 0; a rank-one W, as for a c-optimal design, gives A a
+    # double root where its sensitivity touches 0
+    rng = np.random.default_rng(sum(map(ord, family + curve)) + inner)
+    for _ in range(3):
+        drug = _random_drug(rng, family, curve, inner)
+        m = drug.n_mean_params
+        for rank in (m, 1):
+            B = rng.normal(size=(drug.n_params, rank))
+            W = B @ B.T
+            _check_peak_start(drug, W, _check_stationary_doses(drug, W))
 
 
 def _case_study_sensitivities():
-    """(drug, f, perturbed design) with f the batched normalized sensitivity."""
+    """(drug, W) of each case study's D optimum and of a perturbed design,
+    and of a perturbed Michaelis-Menten design."""
     out = []
     for drug, ctrl in (gouty_models("normal"), gouty_models("negative_binomial"),
                        migraine_models("binomial"), migraine_models("normal")):
@@ -450,25 +453,69 @@ def _case_study_sensitivities():
         for des in (opt, moved):
             criterion = equivalence._Criterion(drug, ctrl, KMatrix.block_identity(
                 drug.n_params, ctrl.n_params), 0.0)
-            _, W, thr, *_ = criterion.analyze_design(des)
-
-            def f(x, criterion=criterion, W=W, thr=thr):
-                return (criterion.rows(W, criterion.drug.regression_rows(x)) - thr) / abs(thr)
-
-            out.append((drug, f))
+            out.append((drug, criterion.analyze_design(des)[1]))
+    # a Michaelis-Menten binomial D optimum with weight moved off its inner
+    # dose: Q = eta (1 - eta) has degree 2, so the top coefficient of
+    # A'Q - AQ' is rounding, and a huge root from it in the companion matrix
+    # moves the peak's root by 1e-4 in dose
+    drug = DrugModel(Binomial(), MichaelisMenten(0.6019319403388996, 14.744034994201222),
+                     (0.0, 100.0))
+    ctrl = ControlModel(Binomial(), 0.23774919255858115)
+    design = joint_design([10.314918318014737, 100.0], [0.85 / 3, 1.15 / 3], 1 / 3)
+    criterion = equivalence._Criterion(drug, ctrl, KMatrix.block_identity(2, 1), 0.0)
+    out.append((drug, criterion.analyze_design(design)[1]))
     return out
 
 
-@pytest.mark.parametrize("drug, f", _case_study_sensitivities())
-def test_grid_peak_matches_golden_oracle_on_case_study_sensitivities(drug, f):
-    L, R = drug.dose_range
-    doses = np.linspace(L, R, 512)
-    tol = 1e-8 * (R - L)
-    # the true peak to a thousandth of tol, by the oracle on a finer bracket
-    peak, _ = _golden_oracle(f, doses, f(doses), 1e-3 * tol)
-    d, _, _ = _check_against_oracle(f, doses, tol)
-    # the sensitivity is flat to rounding within sqrt(eps) of a support dose
-    assert abs(d - peak) <= tol + 1e-7 * (R - L)
+@pytest.mark.parametrize("drug, W", _case_study_sensitivities())
+def test_stationary_doses_on_case_study_sensitivities(drug, W):
+    _check_peak_start(drug, W, _check_stationary_doses(drug, W))
+
+
+@pytest.mark.parametrize("grid", [2, 512])
+def test_a_nearly_flat_sensitivity_keeps_its_exact_peak(grid):
+    # the null-adjusted witness of this one-point target-dose optimum keeps
+    # the sensitivity within 1e-8 of its threshold over the whole range, and
+    # its peak is a bump 9e-11 above the value at dose 0.  A slope whose
+    # scale spans (ed50 + R)^8 / ed50^8, as interpolation in the dose gives,
+    # rounds that bump away near dose 0
+    drug = DrugModel(Normal(0.0025000000000000005),
+                     Emax(0.27544991502359695, 0.5266570210011167, 31.93079029643184),
+                     (0.0, 300.0))
+    ctrl = ControlModel(Normal(0.0025000000000000005), 0.4893579782659378)
+    design = ac_optimal(drug, ctrl)
+    dense = verify(design, drug, ctrl, CriterionSpec("ac"), grid_size=30001)
+    rep = verify(design, drug, ctrl, CriterionSpec("ac"), grid_size=grid)
+    assert rep.ginv_strategy == "null-adjusted" and rep.verdict == "optimal"
+    assert rep.max_violation >= float(dense.grid_values.max()) - 1e-15
+    assert rep.argmax_dose == pytest.approx(3.25, abs=0.01)
+
+
+def _found_design():
+    """The 5th Emax draw of the bench's default_rng(3) models, a normal Emax
+    model on [0, 200], with its D optimum's interior dose moved up by 2."""
+    drug = DrugModel(Normal(0.0025000000000000005),
+                     Emax(0.050372520877209045, 0.5920380824299238, 13.02529797629969),
+                     (0.0, 200.0))
+    ctrl = ControlModel(Normal(0.0025000000000000005), 0.300055418814892)
+    opt = solve_d_optimal(drug, ctrl)
+    assert opt.drug_doses[1] == pytest.approx(11.5242, abs=1e-4)
+    doses = opt.drug_doses + [0.0, 2.0, 0.0]
+    return joint_design(doses, opt.drug_weights, opt.control_weight), drug, ctrl
+
+
+@pytest.mark.parametrize("grid", [2, 3, 5, 9, 17, 512])
+def test_saturated_design_off_its_optimum_is_not_optimal_on_any_grid(grid):
+    # the saturated design ties the grid's sensitivity at 0 on its support,
+    # and a search of only the grid argmax's bracket takes dose 200 and
+    # misses the interior peak on grids 2 to 9
+    design, drug, ctrl = _found_design()
+    rep = verify(design, drug, ctrl, D_SPEC, grid_size=grid)
+    assert rep.verdict == "not-optimal"
+    assert rep.max_violation == pytest.approx(0.014664260719651748, rel=1e-9)
+    assert rep.argmax_dose == pytest.approx(10.935912, abs=1e-5)
+    assert rep.grid_doses.size == np.unique(
+        np.concatenate([np.linspace(0.0, 200.0, grid), design.drug_doses])).size
 
 
 # -- support residuals and the batched evaluation --------------------------------
@@ -502,17 +549,19 @@ def test_support_residuals_match_point_sensitivity(design, drug, ctrl):
 
 def test_verify_evaluates_the_drug_arm_in_batches(monkeypatch):
     design, drug, ctrl, spec, _ = _gouty_normal_d()
-    counts = {"regression_rows": 0, "regression_vector": 0}
-    for name in counts:
-        original = getattr(DrugModel, name)
+    calls = []
+    original = DrugModel.regression_rows
 
-        def counted(self, *args, name=name, original=original):
-            counts[name] += 1
-            return original(self, *args)
+    def counted(self, doses):
+        calls.append(np.asarray(doses, float))
+        return original(self, doses)
 
-        monkeypatch.setattr(DrugModel, name, counted)
+    monkeypatch.setattr(DrugModel, "regression_rows", counted)
     rep = verify(design, drug, ctrl, spec, grid_size=512)
     assert rep.verdict == "optimal"
-    # the design's information, the grid and one call per grid_peak pass
-    assert counts["regression_rows"] <= 2 + equivalence._PASSES
-    assert counts["regression_vector"] == 0
+    # the design's information, then the grid and the stationary doses
+    assert len(calls) == 2
+    assert calls[0].tolist() == design.drug_doses.tolist()
+    criterion = equivalence._Criterion(drug, ctrl, KMatrix.block_identity(4, 2), 0.0)
+    stationary = equivalence.stationary_doses(drug, criterion.analyze_design(design)[1])
+    assert calls[1].tolist() == rep.grid_doses.tolist() + stationary.tolist()

@@ -1072,6 +1072,30 @@ def test_numeric_solve_adds_the_worst_point_for_0_lt_p_lt_1(monkeypatch, name, p
     assert len(rounds) == (2 if (name, p) == ("gouty-negbin", 0.5) else 1)
 
 
+@pytest.mark.parametrize("name, grid, stop", [
+    ("emax-negbin-5", 129, "certified"), ("migraine-binomial", 17, "stalled"),
+    ("mm-binomial-12", 17, "stalled"),
+])
+def test_numeric_solve_certifies_only_optimal_designs_at_p_half(name, grid, stop):
+    # with the partial contrast, a violation search that refines only the
+    # bracket of its grid's argmax stops each solve as certified on a design
+    # that verify calls not-optimal (1.03e-4, 5.4e-4 and 9.1e-4).  The first
+    # model is the third-round Emax negative binomial draw of the
+    # bench's default_rng(5) models; on the other two the support weight at
+    # the interior dose sinks to about 1e-5 and the loop ends on a round
+    # that does not raise the criterion
+    models = {"emax-negbin-5": lambda: (
+        DrugModel(NegativeBinomial(10),
+                  Emax(0.16987193794021554, 0.5875568999398114, 28.917001432567474),
+                  (0.0, 300.0)),
+        ControlModel(NegativeBinomial(10), 0.4156571612043429)),
+        "mm-binomial-12": lambda: list(_mm_draws(12))[2]}
+    drug, ctrl = {**_CASE_STUDIES, **models}[name]()
+    spec = CriterionSpec("phi_p", 0.5, _contrast("partial", drug, ctrl))
+    res = numeric_solve(drug, ctrl, spec, SolveOptions(grid_size=grid))
+    assert (res.stop_reason, res.report.verdict) == (stop, "optimal")
+
+
 def test_numeric_solve_names_the_design_that_lost_estimability():
     # at p = 0.9 the sweeps' damping exponent is 5: the uniform grid design
     # estimates this stacked contrast and the state after one sweep does not

@@ -8,12 +8,18 @@ of 6 rounds) on every grid size in GRIDS at every p in PS, with the
 block-identity contrast: 924 solves.  It prints the counts by stop reason and
 verdict and the total Newton steps (the sum of `iterations`), and names every
 solve that is not certified and optimal.  A change to the polish that should
-not change its path shows the same total.
+not change its path shows the same total: 4,345 since the polish starts from
+the exact sensitivity peaks (6,080 with the grid basins before).
+
+Each returned design is verified again at grid_size 2 and 512.  The verdict
+and the maximum violation must not depend on the grid: they must agree, the
+violation to within 1e-12 max(1, |v|).  Every disagreement is named.
 
 The whole scan runs once for each OpenBLAS thread count in THREADS, each time
 in a subprocess, because the thread count must be set before numpy loads and
 outcomes near the solver's 1e-9 stop have depended on it.  Exits 1 unless
-every solve in every run is certified and optimal.
+every solve in every run is certified and optimal and its verification does
+not depend on the grid.
 """
 
 import argparse
@@ -50,27 +56,37 @@ def models():
 
 
 def scan() -> int:
-    from acdesign import CriterionSpec, numeric_solve
+    from acdesign import CriterionSpec, numeric_solve, verify
     from acdesign.solvers import SolveOptions
 
-    counts, steps = collections.Counter(), 0
+    counts, steps, grid_dependent = collections.Counter(), 0, 0
     start = time.perf_counter()
     for name, drug, control in models():
         for grid in GRIDS:
             for p in PS:
-                res = numeric_solve(drug, control, CriterionSpec("phi_p", p),
-                                    SolveOptions(grid_size=grid))
+                spec = CriterionSpec("phi_p", p)
+                res = numeric_solve(drug, control, spec, SolveOptions(grid_size=grid))
                 outcome = (res.stop_reason, res.report.verdict)
                 counts[outcome] += 1
                 steps += res.iterations
                 if outcome != ("certified", "optimal"):
                     print(f"  {name} grid {grid} p {p:g}: {outcome[0]}/{outcome[1]}, "
                           f"violation {res.max_violation:.3g}")
+                coarse, fine = (verify(res.design, drug, control, spec, grid_size=g)
+                                for g in (2, 512))
+                v = fine.max_violation
+                if (coarse.verdict != fine.verdict
+                        or abs(coarse.max_violation - v) > 1e-12 * max(1.0, abs(v))):
+                    grid_dependent += 1
+                    print(f"  {name} grid {grid} p {p:g}: verify at grid 2 gives "
+                          f"{coarse.verdict} {coarse.max_violation:.3g}, at 512 "
+                          f"{fine.verdict} {v:.3g}")
     for (reason, verdict), n in sorted(counts.items()):
         print(f"  {reason}/{verdict}: {n}")
     print(f"  {sum(counts.values())} solves, {steps} Newton steps, "
+          f"{grid_dependent} verified differently at grids 2 and 512, "
           f"in {time.perf_counter() - start:.1f} s")
-    return 0 if set(counts) == {("certified", "optimal")} else 1
+    return 0 if set(counts) == {("certified", "optimal")} and not grid_dependent else 1
 
 
 def main() -> int:
