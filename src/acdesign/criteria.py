@@ -123,25 +123,30 @@ def phi_p_parts(GK: np.ndarray, K: np.ndarray, p: float, eig=None) -> tuple:
     p = -inf), which keeps them finite for strongly negative p and cancels
     in the normalized sensitivity.  At p = -inf, W is None when the largest
     eigenvalue of B is repeated, since the E-optimal W is then not unique.
+    Scalars are Python floats, but numpy takes each power, so that an
+    overflow gives inf rather than raising.
     """
     if eig is None:
         B = K.T @ GK
         eig = np.linalg.eigh(0.5 * (B + B.T))
     lam, V = eig
-    if lam[0] <= 0:
+    top = lam[-1].item()
+    if lam[0].item() <= 0:
         raise EstimabilityError("contrast information is singular")
     if p == -math.inf:
         u = GK @ V[:, -1]
-        repeated = lam.size > 1 and (lam[-1] - lam[-2]) <= 1e-8 * max(lam[-1], 1.0)
+        repeated = lam.size > 1 and (top - lam[-2].item()) <= 1e-8 * max(top, 1.0)
         W = None if repeated else np.outer(u, u)
-        return float(1.0 / lam[-1]), W, float(lam[-1]), lam, V
-    ratio = lam / lam[-1]
+        return 1.0 / top, W, top, lam, V
+    ratio = lam / top
     if p == 0.0:
-        value = float(np.exp(-np.mean(np.log(lam))))
+        # every ratio ** 0 is 1
+        value, total = float(np.exp(-(np.log(lam).sum() / lam.size))), lam.size
     else:
-        value = float(np.mean(ratio ** (-p)) ** (1.0 / p) / lam[-1])
+        total = (ratio ** (-p)).sum()
+        value = float((total / lam.size) ** (1.0 / p) / top)
     W = GK @ ((V * ratio ** (-p - 1.0)) @ V.T) @ GK.T
-    return value, W, float(lam[-1] * np.sum(ratio ** (-p))), lam, V
+    return value, W, float(top * total), lam, V
 
 
 def phi_p_analysis(M: np.ndarray, K: np.ndarray, p: float, identity: bool):

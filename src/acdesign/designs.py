@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -14,7 +15,12 @@ ARM_DRUG = 0
 ARM_CONTROL = 1
 
 WEIGHT_SUM_TOL = 1e-12
-_EPS = np.finfo(float).eps
+_EPS = float(np.finfo(float).eps)
+# stationary_doses' Chebyshev nodes on [-1, 1], the map from a quartic's values
+# there to its power-series coefficients, and the exponents that differentiate them
+_NODES = np.cos((np.arange(5) + 0.5) * np.pi / 5)
+_POWER_FIT = np.linalg.inv(np.vander(_NODES, 5, increasing=True))
+_POWERS = np.arange(1.0, 5.0)
 
 
 @dataclass(frozen=True)
@@ -155,7 +161,8 @@ class _Information:
     `matrix` assembles F^T diag(w) F from the doses' regression rows F, the
     normal variance entry and the control block.  The dual trace(I(x) W) is
     f(d)^T W11 f(d) plus the variance entry times W[m, m] at a drug dose and
-    trace(I2 W22) at the control.  The models are read once, here.
+    trace(I2 W22) at the control.  The models are read once, here, and the
+    W-independent part of `stationary_doses` once per object, on first use.
     """
 
     def __init__(self, drug: DrugModel, control: ControlModel | None = None):
@@ -189,6 +196,66 @@ class _Information:
     def at_control(self, W: np.ndarray) -> float:
         return float(np.trace(self.ctrl_info @ W[self.s1 :, self.s1 :]))
 
+    @functools.cached_property
+    def _peak_basis(self):
+        """lo and hi - lo of the saturation, the mean gradient at the nodes'
+        doses, and the power series of Q and Q' (`stationary_doses`)."""
+        drug = self.drug
+        L, R = drug.dose_range
+        ed50 = drug.mean.ed50
+        lo, hi = L / (ed50 + L), R / (ed50 + R)
+        u = lo + 0.5 * (_NODES + 1.0) * (hi - lo)
+        d = ed50 * u / (1.0 - u)
+        q = _POWER_FIT @ np.broadcast_to(1.0 / drug.family.weight(drug.mean.value(d)), u.shape)
+        return lo, hi - lo, drug.mean.gradient(d), q, q[1:] * _POWERS
+
+    def stationary_doses(self, W: np.ndarray) -> np.ndarray:
+        """The range ends and the stationary doses of the drug-arm sensitivity, sorted.
+
+        In the saturation u = d/(ed50 + d), which increases with d, eta is
+        linear and the mean gradient g quadratic, so for all four families the
+        sensitivity is A/Q plus a constant, with A = g^T W11 g a quartic and
+        Q = 1/w(eta) of degree at most 3.  Both are fitted as power series at
+        five Chebyshev nodes of the range of u, Q once per object; the doses
+        are the real roots of A'Q - AQ' there, with a generous cut on the
+        imaginary part, as a spurious root costs one evaluation.  The roots
+        are the eigenvalues of numpy's companion matrix once the top
+        coefficients within 1e-13 of the largest are trimmed, as `polytrim`
+        trims them: Q may have lower degree than A, and rounding in its top
+        coefficients would put a huge root in the companion matrix, at the
+        others' expense.  A slope that is zero or not finite has no roots.
+        The sensitivity is monotone between neighbouring doses of the
+        result, so its peak is at one of them.
+        """
+        lo, span, g, q, dq = self._peak_basis
+        m = self.m
+        a = _POWER_FIT @ np.einsum("in,ij,jn->n", g, W[:m, :m], g)
+        slope = np.convolve(a[1:] * _POWERS, q) - np.convolve(a, dq)
+        c = slope.tolist()
+        roots = []
+        if all(map(math.isfinite, c)):
+            tol = 1e-13 * max(map(abs, c))
+            while c and abs(c[-1]) <= tol:
+                c.pop()
+            n = len(c) - 1
+            if n == 1:
+                roots = [-c[0] / c[1]]
+            elif n > 1:
+                # as numpy.polynomial.polynomial.polycompanion builds it
+                companion = np.zeros((n, n))
+                companion.reshape(-1)[n :: n + 1] = 1
+                companion[:, -1] -= slope[:n] / slope[n]
+                roots = np.linalg.eigvals(companion).tolist()
+        L, R = self.drug.dose_range
+        ed50 = self.drug.mean.ed50
+        doses = {L, R}
+        for r in roots:
+            if abs(r.imag) <= 1e-2:
+                u = lo + 0.5 * (r.real + 1.0) * span
+                # u = 1 is the dose at infinity
+                doses.add(R if u == 1.0 else min(max(ed50 * u / (1.0 - u), L), R))
+        return np.array(sorted(doses), float)
+
 
 def drug_info_matrix(induced: InducedDesign, drug: DrugModel) -> np.ndarray:
     """M1: the induced design's information on theta_1."""
@@ -211,7 +278,7 @@ def _spectrum(M):
     """
     A = np.asarray(M, float)
     lam, V = np.linalg.eigh(0.5 * (A + A.T))
-    cut = A.shape[0] * _EPS * max(abs(lam[0]), abs(lam[-1]), 1e-300)
+    cut = A.shape[0] * _EPS * max(abs(lam[0].item()), abs(lam[-1].item()), 1e-300)
     return lam, V, int(lam.searchsorted(cut, "right"))
 
 

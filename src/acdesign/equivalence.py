@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from numpy.polynomial import polynomial
 # unused: bench/tracing.py counts calls through this name (ROADMAP item 1)
 from scipy.optimize import linprog  # noqa: F401
 
@@ -32,11 +31,6 @@ from .models import ControlModel, DrugModel
 from .scalar_opt import minimax
 
 VERIFY_GRID = 512  # doses of verify's default grid and of the null-adjusted witness's fit
-# stationary_doses' Chebyshev nodes on [-1, 1], the map from a quartic's values
-# there to its power-series coefficients, and the exponents that differentiate them
-_NODES = np.cos((np.arange(5) + 0.5) * np.pi / 5)
-_POWER_FIT = np.linalg.inv(np.vander(_NODES, 5, increasing=True))
-_POWERS = np.arange(1.0, 5.0)
 
 
 class _Criterion(_Information):
@@ -83,31 +77,10 @@ class _Criterion(_Information):
 
 
 def stationary_doses(drug: DrugModel, W: np.ndarray) -> np.ndarray:
-    """The range ends and the stationary doses of the drug-arm sensitivity, sorted.
-
-    In the saturation u = d/(ed50 + d), which increases with d, eta is
-    linear and the mean gradient g quadratic, so for all four families the
-    sensitivity is A/Q plus a constant, with A = g^T W11 g a quartic and
-    Q = 1/w(eta) of degree at most 3.  Both are fitted as power series at
-    five Chebyshev nodes of the range of u; the doses are the real roots of
-    A'Q - AQ' there, with a generous cut on the imaginary part, as a
-    spurious root costs one evaluation.  The sensitivity is monotone
-    between neighbouring doses of the result, so its peak is at one of them.
-    """
-    L, R = drug.dose_range
-    m, ed50 = drug.n_mean_params, drug.mean.ed50
-    lo, hi = L / (ed50 + L), R / (ed50 + R)
-    u = lo + 0.5 * (_NODES + 1.0) * (hi - lo)
-    d = ed50 * u / (1.0 - u)
-    g = drug.mean.gradient(d)
-    a = _POWER_FIT @ np.einsum("in,ij,jn->n", g, W[:m, :m], g)
-    q = _POWER_FIT @ np.broadcast_to(1.0 / drug.family.weight(drug.mean.value(d)), u.shape)
-    slope = np.convolve(a[1:] * _POWERS, q) - np.convolve(a, q[1:] * _POWERS)
-    # Q may have lower degree than A; rounding in its top coefficients would
-    # put a huge root in the companion matrix, at the others' expense
-    roots = polynomial.polyroots(polynomial.polytrim(slope, 1e-13 * np.abs(slope).max()))
-    u = lo + 0.5 * (roots[np.abs(roots.imag) <= 1e-2].real + 1.0) * (hi - lo)
-    return np.unique(np.clip(np.concatenate([[L, R], ed50 * u / (1.0 - u)]), L, R))
+    """The range ends and the stationary doses of the drug-arm sensitivity,
+    sorted (`_Information.stationary_doses`, which verify and the solver
+    call on their criterion)."""
+    return _Information(drug).stationary_doses(W)
 
 
 def sensitivity(
@@ -214,7 +187,7 @@ def _evaluate(
     L, R = drug.dose_range
     doses = np.unique(np.concatenate([np.linspace(L, R, grid_size), design.drug_doses]))
     # the stationary doses ride in the grid's batch; only the grid is reported
-    candidates = np.concatenate([doses, stationary_doses(drug, W)])
+    candidates = np.concatenate([doses, criterion.stationary_doses(W)])
     all_values = (criterion.rows(W, drug.regression_rows(candidates)) - threshold) / abs(threshold)
     values = all_values[: doses.size]
     # the joint design space always contains the control point

@@ -44,7 +44,7 @@ from .designs import (
     pinv_contrast,
     pseudo_inverse,
 )
-from .equivalence import VERIFY_GRID, SensitivityReport, _Criterion, stationary_doses, verify
+from .equivalence import VERIFY_GRID, SensitivityReport, _Criterion, verify
 from .exceptions import (
     EstimabilityError,
     InfeasibleGeometryError,
@@ -807,7 +807,7 @@ def _peak_start(problem: _Criterion, W, grid, wd, wc):
     maximum, and maxima lighter than WEIGHT_TOLERANCE are dropped, unless
     every one is.
     """
-    doses = stationary_doses(problem.drug, W)
+    doses = problem.stationary_doses(W)
     v = problem.rows(W, problem.drug.regression_rows(doses))
     first = np.append(True, v[1:] != v[:-1])
     doses, v = doses[first], np.concatenate([[-np.inf], v[first], [-np.inf]])
@@ -985,7 +985,7 @@ def _worst_point(problem: _Criterion, W, threshold, grid, Fgrid):
     The drug arm's maximum is taken over the grid and the exact stationary
     doses of `stationary_doses`; the control point is compared last.
     """
-    extra = stationary_doses(problem.drug, W)
+    extra = problem.stationary_doses(W)
     values = problem.rows(W, np.concatenate([Fgrid, problem.drug.regression_rows(extra)]))
     i = int(np.argmax(values))
     v_top, d_top = max([(float(values[i]), float(np.append(grid, extra)[i])),

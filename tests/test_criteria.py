@@ -383,3 +383,65 @@ def test_contrast_of_the_wrong_shape_raises(K):
     drug, ctrl = gouty_models("normal")
     with pytest.raises(DesignError, match="4 drug rows and 2 control rows"):
         resolve_spec(CriterionSpec("phi_p", 0.0, K), drug, ctrl)
+
+
+# -- phi_p_parts against the expressions it replaced ------------------------------
+
+def _numpy_phi_p_parts(GK, K, p, eig=None):
+    """phi_p_parts as written on numpy scalars, with np.mean and one power
+    per use: the reference its float version must match bit for bit."""
+    if eig is None:
+        B = K.T @ GK
+        eig = np.linalg.eigh(0.5 * (B + B.T))
+    lam, V = eig
+    if p == -math.inf:
+        u = GK @ V[:, -1]
+        repeated = lam.size > 1 and (lam[-1] - lam[-2]) <= 1e-8 * max(lam[-1], 1.0)
+        W = None if repeated else np.outer(u, u)
+        return float(1.0 / lam[-1]), W, float(lam[-1]), lam, V
+    ratio = lam / lam[-1]
+    if p == 0.0:
+        value = float(np.exp(-np.mean(np.log(lam))))
+    else:
+        value = float(np.mean(ratio ** (-p)) ** (1.0 / p) / lam[-1])
+    W = GK @ ((V * ratio ** (-p - 1.0)) @ V.T) @ GK.T
+    return value, W, float(lam[-1] * np.sum(ratio ** (-p))), lam, V
+
+
+def _contrast_analyses(spread):
+    """(GK, K, eig) with B's eigenvalues spread over `spread`: once with B's
+    eigenpairs given, once for phi_p_parts to find."""
+    rng = np.random.default_rng(int(math.log10(spread)))
+    V, _ = np.linalg.qr(rng.normal(size=(6, 6)))
+    G = (V * np.geomspace(0.3, 0.3 * spread, 6)) @ V.T
+    K = rng.normal(size=(6, 3))
+    lam = np.geomspace(2.0, 2.0 * spread, 3)
+    U, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+    return [(G @ K, K, (lam, U)), (G @ K, K, None)]
+
+
+@pytest.mark.parametrize("spread", [1.0, 1e3, 1e6, 1e12])
+@pytest.mark.parametrize("p", [0.0, 0.5, -0.5, -1.0, -50.0, -1e300, -math.inf])
+def test_phi_p_parts_matches_the_numpy_scalar_expressions(p, spread):
+    from acdesign.criteria import phi_p_parts
+
+    for GK, K, eig in _contrast_analyses(spread):
+        value, W, threshold, lam, V = phi_p_parts(GK, K, p, eig)
+        ref = _numpy_phi_p_parts(GK, K, p, eig)
+        assert type(value) is float and type(threshold) is float
+        assert (value, threshold) == (ref[0], ref[2]) and value > 0 and threshold > 0
+        assert (W is None and ref[1] is None) or np.array_equal(W, ref[1])
+        assert np.array_equal(lam, ref[3]) and np.array_equal(V, ref[4])
+
+
+def test_phi_p_parts_at_extreme_p_warns_and_raises_nothing():
+    import warnings
+
+    from acdesign.criteria import phi_p_parts
+
+    for spread in (1.0, 1e12):
+        for GK, K, eig in _contrast_analyses(spread):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                value, W, threshold, *_ = phi_p_parts(GK, K, -1e308, eig)
+            assert math.isfinite(value) and math.isfinite(threshold) and np.all(np.isfinite(W))

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
+from numpy.polynomial import polynomial
 
-from acdesign import equivalence, solvers
+from acdesign import designs, equivalence, solvers
 from acdesign import (
     ARM_CONTROL,
     ARM_DRUG,
@@ -470,6 +471,122 @@ def _case_study_sensitivities():
 @pytest.mark.parametrize("drug, W", _case_study_sensitivities())
 def test_stationary_doses_on_case_study_sensitivities(drug, W):
     _check_peak_start(drug, W, _check_stationary_doses(drug, W))
+
+
+def _polyroots_stationary_doses(drug, W):
+    """The doses stationary_doses returned when numpy.polynomial found the
+    roots: the reference its companion eigensolve must match bit for bit."""
+    nodes = np.cos((np.arange(5) + 0.5) * np.pi / 5)
+    power_fit = np.linalg.inv(np.vander(nodes, 5, increasing=True))
+    powers = np.arange(1.0, 5.0)
+    L, R = drug.dose_range
+    m, ed50 = drug.n_mean_params, drug.mean.ed50
+    lo, hi = L / (ed50 + L), R / (ed50 + R)
+    u = lo + 0.5 * (nodes + 1.0) * (hi - lo)
+    d = ed50 * u / (1.0 - u)
+    g = drug.mean.gradient(d)
+    a = power_fit @ np.einsum("in,ij,jn->n", g, W[:m, :m], g)
+    q = power_fit @ np.broadcast_to(1.0 / drug.family.weight(drug.mean.value(d)), u.shape)
+    slope = np.convolve(a[1:] * powers, q) - np.convolve(a, q[1:] * powers)
+    roots = polynomial.polyroots(polynomial.polytrim(slope, 1e-13 * np.abs(slope).max()))
+    u = lo + 0.5 * (roots[np.abs(roots.imag) <= 1e-2].real + 1.0) * (hi - lo)
+    return np.unique(np.clip(np.concatenate([[L, R], ed50 * u / (1.0 - u)]), L, R))
+
+
+def _oracle_sensitivities():
+    """(drug, W): each family and curve on [0, R] and [R/10, R] with a
+    full-rank, a rank-one and a zero W, then the case-study W."""
+    out = []
+    for family in ("normal", "negative_binomial", "binomial", "poisson"):
+        for curve in ("mm", "emax"):
+            for inner in (False, True):
+                rng = np.random.default_rng(sum(map(ord, family + curve)) + 2 + inner)
+                drug = _random_drug(rng, family, curve, inner)
+                B = rng.normal(size=(drug.n_params, drug.n_params))
+                for W in (B @ B.T, np.outer(B[0], B[0]), np.zeros_like(B)):
+                    out.append((drug, W))
+    # with a constant Q and A = (1 - u/u0)^2 in the saturation u, the slope
+    # is linear, with its root at u0 = 0.1 inside the range
+    drug = DrugModel(Normal(0.0025), Emax(0.26, 0.73, 10.5), (0.0, 300.0))
+    v = np.array([1.0, -10.0, 0.0, 0.0])
+    out.append((drug, np.outer(v, v)))
+    return out + _case_study_sensitivities()
+
+
+@pytest.mark.parametrize("drug, W", _oracle_sensitivities())
+def test_stationary_doses_match_the_polyroots_reference(drug, W):
+    doses = equivalence.stationary_doses(drug, W)
+    assert np.array_equal(doses, _polyroots_stationary_doses(drug, W))
+    assert doses.dtype == np.float64
+
+
+@pytest.mark.parametrize("entries", ["nan", "inf", "one-nan"])
+def test_a_slope_that_is_not_finite_gives_the_range_ends(entries):
+    drug, _ = gouty_models("negative_binomial")
+    W = {"nan": np.full((4, 4), np.nan), "inf": np.full((4, 4), np.inf), "one-nan": np.eye(4)}[entries]
+    if entries == "one-nan":
+        W[1, 2] = np.nan
+    doses = equivalence.stationary_doses(drug, W)
+    assert doses.tolist() == [0.0, 300.0]
+    assert np.array_equal(doses, _polyroots_stationary_doses(drug, W))
+
+
+def test_stationary_doses_take_one_companion_eigensolve(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("numpy.polynomial or np.unique called")
+
+    for name in ("polyroots", "polytrim", "polycompanion"):
+        monkeypatch.setattr(polynomial, name, forbidden)
+    monkeypatch.setattr(np, "unique", forbidden)
+    eigvals = np.linalg.eigvals
+    calls = []
+
+    def counted(a):
+        calls.append(a)
+        return eigvals(a)
+
+    monkeypatch.setattr(np.linalg, "eigvals", counted)
+    drug, W = _case_study_sensitivities()[1]
+    doses = equivalence.stationary_doses(drug, W)
+    assert doses.size > 2 and len(calls) == 1
+
+
+def _count_peak_basis(monkeypatch):
+    """The objects whose W-independent stationary-dose part gets built."""
+    basis = designs._Information.__dict__["_peak_basis"]
+    build, built = basis.func, []
+
+    def counted(self):
+        built.append(self)
+        return build(self)
+
+    monkeypatch.setattr(basis, "func", counted)
+    return built
+
+
+def test_numeric_solve_builds_the_peak_basis_once_per_criterion(monkeypatch):
+    drug, ctrl = gouty_models("normal")
+    built = _count_peak_basis(monkeypatch)
+    res = solvers.numeric_solve(drug, ctrl, D_SPEC)
+    assert res.stop_reason == "certified" and res.report.verdict == "optimal"
+    # the solver's criterion and verify's
+    assert 1 <= len(built) <= 2 and len(set(map(id, built))) == len(built)
+
+
+def test_null_adjusted_verify_builds_the_peak_basis_once(monkeypatch):
+    drug, ctrl = _poisson_mm()
+    design = ac_optimal(drug, ctrl)
+    built = _count_peak_basis(monkeypatch)
+    rep = verify(design, drug, ctrl, CriterionSpec("ac"))
+    assert rep.ginv_strategy == "null-adjusted"
+    assert len(built) == 1
+
+
+def test_point_sensitivity_builds_no_peak_basis(monkeypatch):
+    design, drug, ctrl, *_ = _gouty_normal_d()
+    built = _count_peak_basis(monkeypatch)
+    sensitivity((50.0, ARM_DRUG), design, drug, ctrl, KMatrix.block_identity(4, 2), 0.0)
+    assert built == []
 
 
 @pytest.mark.parametrize("grid", [2, 512])
