@@ -162,7 +162,8 @@ class _Information:
     normal variance entry and the control block.  The dual trace(I(x) W) is
     f(d)^T W11 f(d) plus the variance entry times W[m, m] at a drug dose and
     trace(I2 W22) at the control.  The models are read once, here, and the
-    W-independent part of `stationary_doses` once per object, on first use.
+    W-independent part of `stationary_doses` and `extrema` once per object,
+    on first use.
     """
 
     def __init__(self, drug: DrugModel, control: ControlModel | None = None):
@@ -199,7 +200,7 @@ class _Information:
     @functools.cached_property
     def _peak_basis(self):
         """lo and hi - lo of the saturation, the mean gradient at the nodes'
-        doses, and the power series of Q and Q' (`stationary_doses`)."""
+        doses, and the power series of Q and Q' (`stationary_doses`, `extrema`)."""
         drug = self.drug
         L, R = drug.dose_range
         ed50 = drug.mean.ed50
@@ -217,44 +218,83 @@ class _Information:
         sensitivity is A/Q plus a constant, with A = g^T W11 g a quartic and
         Q = 1/w(eta) of degree at most 3.  Both are fitted as power series at
         five Chebyshev nodes of the range of u, Q once per object; the doses
-        are the real roots of A'Q - AQ' there, with a generous cut on the
-        imaginary part, as a spurious root costs one evaluation.  The roots
-        are the eigenvalues of numpy's companion matrix once the top
-        coefficients within 1e-13 of the largest are trimmed, as `polytrim`
-        trims them: Q may have lower degree than A, and rounding in its top
-        coefficients would put a huge root in the companion matrix, at the
-        others' expense.  A slope that is zero or not finite has no roots.
-        The sensitivity is monotone between neighbouring doses of the
-        result, so its peak is at one of them.
+        are the real roots of A'Q - AQ' there (`_real_roots`), whose top
+        coefficients are rounding when Q has lower degree than A.  The
+        sensitivity is monotone between neighbouring doses of the result, so
+        its peak is at one of them.
         """
         lo, span, g, q, dq = self._peak_basis
         m = self.m
         a = _POWER_FIT @ np.einsum("in,ij,jn->n", g, W[:m, :m], g)
-        slope = np.convolve(a[1:] * _POWERS, q) - np.convolve(a, dq)
-        c = slope.tolist()
-        roots = []
-        if all(map(math.isfinite, c)):
-            tol = 1e-13 * max(map(abs, c))
-            while c and abs(c[-1]) <= tol:
-                c.pop()
-            n = len(c) - 1
-            if n == 1:
-                roots = [-c[0] / c[1]]
-            elif n > 1:
-                # as numpy.polynomial.polynomial.polycompanion builds it
-                companion = np.zeros((n, n))
-                companion.reshape(-1)[n :: n + 1] = 1
-                companion[:, -1] -= slope[:n] / slope[n]
-                roots = np.linalg.eigvals(companion).tolist()
         L, R = self.drug.dose_range
         ed50 = self.drug.mean.ed50
         doses = {L, R}
-        for r in roots:
-            if abs(r.imag) <= 1e-2:
-                u = lo + 0.5 * (r.real + 1.0) * span
-                # u = 1 is the dose at infinity
-                doses.add(R if u == 1.0 else min(max(ed50 * u / (1.0 - u), L), R))
+        for r in _real_roots(np.convolve(a[1:] * _POWERS, q) - np.convolve(a, dq)):
+            u = lo + 0.5 * (r + 1.0) * span
+            # u = 1 is the dose at infinity
+            doses.add(R if u == 1.0 else min(max(ed50 * u / (1.0 - u), L), R))
         return np.array(sorted(doses), float)
+
+    def extrema(self, v) -> np.ndarray:
+        """The range ends and the doses where v.f(d) is stationary, sorted, for v
+        of mean-parameter length; v.f is monotone between neighbouring ones."""
+        return self._extrema(_POWER_FIT @ (np.asarray(v, float) @ self._peak_basis[2]))
+
+    def _extrema(self, p: np.ndarray) -> np.ndarray:
+        """The range ends and the stationary doses of P/sqrt(Q), sorted, for P
+        given by its power series p in the nodes' variable t.
+
+        For v.f, P = v.g is quadratic in the saturation u, so the slope's sign,
+        that of 2P'Q - PQ', has degree at most 4.  A root in the range takes one
+        Newton step: next to the far larger roots of a narrow saturation range,
+        the companion matrix finds it only to their rounding.  Its dose, at
+        u = (1 - s) u_L + s u_R with s = (t + 1)/2, is a ratio of sums of
+        positive terms, without the rounding of 1 - u near u = 1.
+        """
+        q, dq = self._peak_basis[3:]
+        slope = 2.0 * np.convolve(p[1:] * _POWERS[: len(p) - 1], q) - np.convolve(p, dq)
+        L, R = self.drug.dose_range
+        kL, kR = self.drug.mean.ed50 + L, self.drug.mean.ed50 + R
+        doses = {L, R}
+        for r in _real_roots(slope):
+            if -1.0 <= r <= 1.0:
+                value = deriv = 0.0
+                for c in reversed(slope.tolist()):  # Horner's rule for both
+                    value, deriv = value * r + c, deriv * r + value
+                step = value / deriv if deriv else 0.0
+                r -= step if abs(step) <= 1e-6 else 0.0
+            s = min(max(0.5 * (r + 1.0), 0.0), 1.0)
+            doses.add(min(max(((1 - s) * L * kR + s * R * kL) / ((1 - s) * kR + s * kL), L), R))
+        return np.array(sorted(doses), float)
+
+
+def _real_roots(slope: np.ndarray) -> list[float]:
+    """The real parts of the real roots of the power series `slope`.
+
+    The roots are the eigenvalues of numpy's companion matrix once the top
+    coefficients within 1e-13 of the largest are trimmed, as `polytrim`
+    trims them: rounding in a top coefficient that should be zero would put
+    a huge root in the companion matrix, at the others' expense.  A root
+    counts as real with a generous cut on its imaginary part, as a spurious
+    root costs one evaluation.  A slope that is zero or not finite has no
+    roots.
+    """
+    c = slope.tolist()
+    roots = []
+    if all(map(math.isfinite, c)):
+        tol = 1e-13 * max(map(abs, c))
+        while c and abs(c[-1]) <= tol:
+            c.pop()
+        n = len(c) - 1
+        if n == 1:
+            roots = [-c[0] / c[1]]
+        elif n > 1:
+            # as numpy.polynomial.polynomial.polycompanion builds it
+            companion = np.zeros((n, n))
+            companion.reshape(-1)[n :: n + 1] = 1
+            companion[:, -1] -= slope[:n] / slope[n]
+            roots = np.linalg.eigvals(companion).tolist()
+    return [r.real for r in roots if abs(r.imag) <= 1e-2]
 
 
 def drug_info_matrix(induced: InducedDesign, drug: DrugModel) -> np.ndarray:

@@ -1,5 +1,5 @@
-"""Search utilities: guarded bisection, the discrete Chebyshev (minimax) fit
-and golden-section maximization, which the package itself does not call."""
+"""Search utilities: the discrete Chebyshev (minimax) fit, and golden-section
+maximization, which the package itself does not call."""
 
 from __future__ import annotations
 
@@ -7,14 +7,13 @@ import math
 
 import numpy as np
 
-from .exceptions import EstimabilityError, InfeasibleGeometryError
+from .exceptions import EstimabilityError
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 _INV_PHI2 = (3.0 - math.sqrt(5.0)) / 2.0
 _EPS = float(np.finfo(float).eps)
 # singular values of a minimax A below this share of max(|A|_2, |b|_inf) count as zero
 _RANK_RTOL = 1e-12
-_SCAN = 64  # subintervals of bracketed_root's sign-change scan
 
 
 # unused: bench/tracing.py counts calls through this name (ROADMAP item 1)
@@ -144,43 +143,3 @@ def _reference(U: np.ndarray, b: np.ndarray) -> np.ndarray:
     resid[rows] = -1.0
     rows.append(int(np.argmax(resid)))
     return np.array(rows)
-
-
-def bracketed_root(f, lo: float, hi: float, tol: float) -> float:
-    """Root of f on (lo, hi) after a sign-change scan over _SCAN subintervals.
-
-    Exactly one sign change is required; zero or several raise, because a
-    silent pick could hide a multiple-root pathology.  Bisection to tol,
-    then one Newton polish from a central difference.
-    """
-    xs = np.linspace(lo, hi, _SCAN + 1)
-    vals = np.array([f(x) for x in xs])
-    sign_changes = [
-        i for i in range(_SCAN) if vals[i] == 0.0 or vals[i] * vals[i + 1] < 0
-    ]
-    if not sign_changes:
-        raise InfeasibleGeometryError("no root bracketed in the dose range")
-    if len(sign_changes) > 1:
-        raise InfeasibleGeometryError(
-            f"{len(sign_changes)} sign changes found; root is ambiguous"
-        )
-    i = sign_changes[0]
-    a, b = float(xs[i]), float(xs[i + 1])
-    fa = f(a)
-    while b - a > tol:
-        m = 0.5 * (a + b)
-        fm = f(m)
-        if fm == 0.0:
-            return m
-        if fa * fm < 0:
-            b = m
-        else:
-            a, fa = m, fm
-    x = 0.5 * (a + b)
-    h = max(1e-7 * (hi - lo), 1e-12)
-    deriv = (f(x + h) - f(x - h)) / (2.0 * h)
-    if deriv != 0.0:
-        step = f(x) / deriv
-        if abs(step) < (b - a) + h:
-            x -= step
-    return min(max(x, lo), hi)

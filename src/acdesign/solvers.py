@@ -1,12 +1,15 @@
 """Construction of locally optimal designs.
 
 Closed forms cover the D-optimal designs for both mean curves under all four
-families and the supports of the Elfving-geometry c-optimal designs for the
-Michaelis-Menten curve.  A general c-optimal problem whose contrast lies on
+families, except the interior dose of the binomial and negative binomial Emax
+designs, which is an exact extremum (`_Information._extrema`), and the
+supports of the Elfving-geometry c-optimal designs for the Michaelis-Menten
+curve.  A general c-optimal problem whose contrast lies on
 the gradient ray of an interior dose d* first tries the one-point design at
 d*, certified by an exact tangent-line test of Elfving's theorem; otherwise
 it takes one Elfving LP, solved as a discrete Chebyshev fit by
-`scalar_opt.minimax`, for its support.  Every c-optimal support then takes
+`scalar_opt.minimax`, for its support, whose interior doses then step onto
+the exact extrema of Elfving's condition.  Every c-optimal support then takes
 its weights, signs and gamma from one least-squares solve
 (`_finish_elfving`).  Arbitrary contrasts and p take one weight solve on a
 dose grid, then Newton steps on doses and weights together.
@@ -61,7 +64,7 @@ from .models import (
     Poisson,
     target_dose_grad,
 )
-from .scalar_opt import bracketed_root, minimax
+from .scalar_opt import minimax
 
 _log = logging.getLogger("acdesign")
 
@@ -76,8 +79,7 @@ SLOPE_STATIONARY = 1e-7  # the same for the sensitivity slope at a support dose
 # support that the worst point of the equivalence check can change
 ROUND_STEPS = 50
 LP_GRID_SIZE = 401  # doses in the Elfving LP of c_opt_numeric
-POLISH_STEPS = 30  # cap on the Newton steps of _polish_support
-POLISH_REACH = 0.02  # _polish_support's largest dose move, as a share of R-L
+POLISH_STEPS = 30  # cap on the steps of _polish_support
 POLISH_ROUNDING = 1e-13  # a bound rise below this share is rounding, not a worse support
 REDUCE_STEPS = 8  # Gauss-Newton steps of _reduced_support on each shorter support
 NEG_INF_SURROGATE = -50.0  # the smooth p on which numeric_solve chases p = -inf
@@ -179,8 +181,10 @@ def d_opt_emax(drug: DrugModel, control: ControlModel) -> Design:
     """Locally D-optimal design for an Emax mean curve.
 
     Three drug doses {L, d, R}; the interior dose is a closed form for the
-    normal and Poisson families and the root of a rational stationarity
-    equation for the binomial and negative binomial ones.
+    normal and Poisson families.  For the binomial and negative binomial
+    ones, which have none, it is the dose that maximizes |det F(L, d, R)|,
+    found exactly among the stationary doses of that determinant
+    (`_Information._extrema`).
     """
     if not isinstance(drug.mean, Emax):
         raise UnsupportedCaseError("d_opt_emax needs an Emax mean")
@@ -190,20 +194,13 @@ def d_opt_emax(drug: DrugModel, control: ControlModel) -> Design:
     if isinstance(fam, Normal):
         inner = (R * (L + ed50) + L * (R + ed50)) / ((L + ed50) + (R + ed50))
     elif isinstance(fam, (NegativeBinomial, Binomial)):
-        a = e0 + em - 1.0
-
-        def stationarity(d: float) -> float:
-            common = (
-                2.0 / (d - L)
-                + 2.0 / (d - R)
-                - a / (d * a + (e0 - 1.0) * ed50)
-            )
-            if isinstance(fam, NegativeBinomial):
-                return common - 2.0 * (e0 + em) / (e0 * (ed50 + d) + em * d) - 1.0 / (ed50 + d)
-            return common - (e0 + em) / (e0 * (ed50 + d) + em * d) - 2.0 / (ed50 + d)
-
-        eps = 1e-9 * (R - L)
-        inner = bracketed_root(stationarity, L + eps, R - eps, 1e-13 * (R - L))
+        # the gradient spans the quadratics in u = d/(ed50 + d), so |det F(L, d, R)|
+        # is sqrt(w(eta(d))) (u - u_L)(u_R - u) times a constant, and
+        # (u - u_L)(u_R - u) is 1 - t^2 in the nodes' variable t
+        doses = _Information(drug)._extrema(np.array([1.0, 0.0, -1.0]))
+        u_terms = (doses - L) * (R - doses) / (ed50 + doses) ** 2
+        with np.errstate(divide="ignore", invalid="ignore"):  # w is infinite at a zero mean
+            inner = float(doses[np.argmax(u_terms * np.sqrt(fam.weight(drug.mean.value(doses))))])
     elif isinstance(fam, Poisson):
         m = lambda d: e0 * ed50 + em * d + e0 * d
         kappa = ((ed50 + L) * m(R) + (ed50 + R) * m(L)) ** 2 + 12.0 * (ed50 + L) * (
@@ -370,9 +367,9 @@ def c_opt_numeric(drug: DrugModel, c_vector: np.ndarray) -> ElfvingSolution:
     dose grid and, if it holds, returns it without the LP.  Otherwise the
     LP runs once on that grid; `_copt_lp` solves it as a minimax fit.  Its
     basic solution has at most n_mean_params support points (Elfving
-    1952); Newton steps on Elfving's condition then move the interior doses
-    onto the extrema of u.f, which lowers the variance bound of the support
-    (`_polish_support`, `_support_delta`).  d* stays off the
+    1952); steps onto the exact extrema of u.f, as Elfving's condition
+    asks, then move its interior doses, which lowers the variance bound of
+    the support (`_polish_support`, `_support_delta`).  d* stays off the
     grid: with it, the LP can return the declined one-point design when the
     better support lies between grid doses, and one dose cannot be polished.
     The one-point design at d* is still preferred whenever it attains the
@@ -413,17 +410,14 @@ def _support_delta(F: np.ndarray, c: np.ndarray) -> tuple[float, np.ndarray]:
 
 
 def _polish_support(drug: DrugModel, c: np.ndarray, doses):
-    """Move interior support doses onto the extrema of u.f by Newton steps.
+    """Move interior support doses onto the extrema of u.f.
 
     By Elfving's theorem each interior dose of a c-optimal support is a local
-    extremum of u.f(d), where F u = sign(a) for the support's rows F and
-    coefficients a (`_support_delta`).  Each step moves every interior dose
-    by one Newton step on the slope of sign(a_i) u.f, with u from the
-    current support; slope and curvature are central differences at
-    1e-6 (R - L) and 1e-4 (R - L), from one `regression_rows` call, on
-    stencils shifted inside the range.  A dose where the curvature is not
-    negative moves POLISH_REACH (R - L) up the slope; none moves past a
-    range end.  The step is halved until the bound falls (to within
+    maximum of sign(a_i) u.f(d), where F u = sign(a) for the support's rows F
+    and coefficients a (`_support_delta`).  Each step moves every interior
+    dose towards the nearest such maximum of u.f for the current support,
+    found exactly among `_Information.extrema(u)`, between whose neighbours
+    u.f is monotone.  The step is halved until the bound falls (to within
     POLISH_ROUNDING), which keeps two inner doses that converge on one
     extremum from making the support singular, and the steps stop once they
     are at most 1e-10 (R - L).  Only full supports, one dose per entry of c,
@@ -439,35 +433,37 @@ def _polish_support(drug: DrugModel, c: np.ndarray, doses):
     doses = np.sort(np.asarray(doses, float))
     F = drug.regression_rows(doses)
     delta, a = _support_delta(F, c)
-    h1, h2, reach, tol = 1e-6 * width, 1e-4 * width, POLISH_REACH * width, 1e-10 * width
+    info, tol = _Information(drug), 1e-10 * width
     tried = False  # whether _reduced_support ran
     # only full supports keep the representation feasible while a dose moves
     for _ in range(POLISH_STEPS if len(doses) == c.size and np.isfinite(delta) else 0):
         inner = (doses > L + 1e-12 * width) & (doses < R - 1e-12 * width)
         if not inner.any():
             break
-        sign, x = np.sign(a), doses[inner]
-        x1, x2 = np.clip(x, L + h1, R - h1), np.clip(x, L + h2, R - h2)
-        stencil = np.concatenate([x1 - h1, x1 + h1, x2 - h2, x2, x2 + h2])
-        # sign(a_i) u.f on each stencil, which peaks at an optimal dose
-        g = sign[inner] * (drug.regression_rows(stencil) @ np.linalg.solve(F, sign)).reshape(5, -1)
-        slope = (g[1] - g[0]) / (2.0 * h1)
-        curv = (g[2] - 2.0 * g[3] + g[4]) / (h2 * h2)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            step = np.where(curv < 0.0, x1 - slope / curv - x, np.sign(slope) * reach)
-        step = np.clip(step, np.maximum(-reach, L - x), np.minimum(reach, R - x))
+        sign = np.sign(a)
+        u = np.linalg.solve(F, sign)
+        ext = info.extrema(u)
+        uf = (drug.regression_rows(ext) @ u).tolist()
+        x = doses[inner]
+        step = []
+        for d, s in zip(x.tolist(), sign[inner].tolist()):
+            # the nearest entry where s u.f is at least its neighbours' value
+            peaks = [e for i, e in enumerate(ext.tolist())
+                     if all(s * uf[i] >= s * uf[j] for j in (i - 1, i + 1) if 0 <= j < len(uf))]
+            step.append(min(peaks, key=lambda e: abs(e - d)) - d)
+        step = np.array(step)
         size = float(np.max(np.abs(step)))
         t = 1.0
         while t * size > tol:
             trial = doses.copy()
-            trial[inner] = np.clip(x + t * step, L, R)
+            trial[inner] = x + t * step
             rows = drug.regression_rows(trial)
             delta_t, a_t = _support_delta(rows, c)
             if delta_t <= delta * (1.0 + POLISH_ROUNDING):
                 doses, F, delta, a = trial, rows, delta_t, a_t
                 break
             if not tried:
-                # a full Newton step that raises the bound has met a kink
+                # a full step that raises the bound has met a kink
                 tried, shorter = True, _reduced_support(drug, c, doses, a, delta)
                 if shorter is not None:
                     doses, delta = shorter

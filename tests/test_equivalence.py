@@ -532,6 +532,9 @@ def test_a_slope_that_is_not_finite_gives_the_range_ends(entries):
 
 
 def test_stationary_doses_take_one_companion_eigensolve(monkeypatch):
+    # W first: building the negative binomial D optimum takes an eigensolve too
+    drug, W = _case_study_sensitivities()[1]
+
     def forbidden(*args, **kwargs):
         raise AssertionError("numpy.polynomial or np.unique called")
 
@@ -546,7 +549,6 @@ def test_stationary_doses_take_one_companion_eigensolve(monkeypatch):
         return eigvals(a)
 
     monkeypatch.setattr(np.linalg, "eigvals", counted)
-    drug, W = _case_study_sensitivities()[1]
     doses = equivalence.stationary_doses(drug, W)
     assert doses.size > 2 and len(calls) == 1
 

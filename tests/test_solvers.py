@@ -37,7 +37,7 @@ from acdesign import (
     target_dose,
     verify,
 )
-from acdesign.designs import drug_info_matrix
+from acdesign.designs import _Information, drug_info_matrix
 from acdesign.models import target_dose_grad
 from acdesign.reproduce import gouty_models, migraine_models
 from acdesign.solvers import SolveOptions
@@ -206,6 +206,143 @@ def test_d_opt_designs_verify():
         des = solve_d_optimal(drug, ctrl)
         rep = verify(des, drug, ctrl, CriterionSpec("phi_p", 0.0))
         assert rep.verdict == "optimal", (drug.family, rep.max_violation)
+
+
+def _bracketed_root(f, lo, hi, tol, scan=64):
+    """Root of f on (lo, hi): a sign-change scan over `scan` subintervals, which
+    must find exactly one, bisection to tol, then one Newton step from a
+    central difference."""
+    xs = np.linspace(lo, hi, scan + 1)
+    vals = [f(x) for x in xs]
+    changes = [i for i in range(scan) if vals[i] == 0.0 or vals[i] * vals[i + 1] < 0]
+    assert len(changes) == 1, changes
+    a, b = float(xs[changes[0]]), float(xs[changes[0] + 1])
+    fa = f(a)
+    while b - a > tol:
+        m = 0.5 * (a + b)
+        fm = f(m)
+        if fm == 0.0:
+            return m
+        if fa * fm < 0:
+            b = m
+        else:
+            a, fa = m, fm
+    x = 0.5 * (a + b)
+    h = max(1e-7 * (hi - lo), 1e-12)
+    deriv = (f(x + h) - f(x - h)) / (2.0 * h)
+    if deriv != 0.0:
+        step = f(x) / deriv
+        if abs(step) < (b - a) + h:
+            x -= step
+    return min(max(x, lo), hi)
+
+
+def _stationarity_dose(drug):
+    """The binomial or negative binomial Emax D-optimal interior dose as the
+    root of the hand-derived stationarity equation of log det M({L, d, R})."""
+    L, R = drug.dose_range
+    e0, em, ed50 = drug.mean.e0, drug.mean.emax, drug.mean.ed50
+    a = e0 + em - 1.0
+    negbin = isinstance(drug.family, NegativeBinomial)
+
+    def stationarity(d):
+        common = 2.0 / (d - L) + 2.0 / (d - R) - a / (d * a + (e0 - 1.0) * ed50)
+        if negbin:
+            return common - 2.0 * (e0 + em) / (e0 * (ed50 + d) + em * d) - 1.0 / (ed50 + d)
+        return common - (e0 + em) / (e0 * (ed50 + d) + em * d) - 2.0 / (ed50 + d)
+
+    eps = 1e-9 * (R - L)
+    return _bracketed_root(stationarity, L + eps, R - eps, 1e-13 * (R - L))
+
+
+def _discrete_emax_draws(count=240):
+    """Binomial and negative binomial Emax models: half on [0, R], half on
+    [L, R] with L up to R/2 and ed50 down to 0.01, where the saturation
+    d/(ed50 + d) spans as little as 6e-5 of the range."""
+    rng = np.random.default_rng(29)
+    for k in range(count):
+        family = Binomial() if k % 2 == 0 else NegativeBinomial(int(rng.choice([1, 5, 10])))
+        e0 = rng.uniform(0.02, 0.5)
+        emax = rng.uniform(0.1, 0.97 - e0)
+        R = rng.uniform(20.0, 400.0)
+        if k % 4 < 2:
+            L, ed50 = 0.0, math.exp(rng.uniform(math.log(0.5), math.log(100.0)))
+        else:
+            L, ed50 = R * rng.uniform(0.02, 0.5), math.exp(rng.uniform(math.log(0.01), math.log(2.0)))
+        yield DrugModel(family, Emax(e0, emax, ed50), (L, R))
+
+
+def test_d_opt_emax_matches_the_stationarity_root():
+    drugs = [gouty_models("negative_binomial")[0], migraine_models("binomial")[0]]
+    count = 0
+    for drug in drugs + list(_discrete_emax_draws()):
+        L, R = drug.dose_range
+        inner = d_opt_emax(drug, ControlModel(drug.family, 0.5)).drug_doses[1]
+        assert abs(inner - _stationarity_dose(drug)) <= 1e-13 * (R - L), drug
+        count += 1
+    assert count == 242
+
+
+def _closed_form_draws(seed):
+    """(drug, control) of each family under Michaelis-Menten and of the normal
+    and Poisson families under Emax, on [0, R] and on [L, R] with L > 0."""
+    rng = np.random.default_rng(seed)
+    for inner in (False, True):
+        for family in (Normal(0.01), NegativeBinomial(5), Binomial(), Poisson()):
+            R = rng.uniform(20.0, 400.0)
+            L = R * rng.uniform(0.02, 0.3) if inner else 0.0
+            ed50 = math.exp(rng.uniform(math.log(0.1), math.log(1.0))) * (L if inner else R)
+            e0 = rng.uniform(0.05, 0.4)
+            emax = rng.uniform(0.1, 0.95 - e0)
+            yield DrugModel(family, MichaelisMenten(emax, ed50), (L, R)), ControlModel(family, 0.5)
+            if isinstance(family, (Normal, Poisson)):
+                yield DrugModel(family, Emax(e0, emax, ed50), (L, R)), ControlModel(family, 0.5)
+
+
+def _d_optimal_dose(drug):
+    """The dose that maximizes |det F| of the equal-weight D design on
+    {d, R} (Michaelis-Menten) or {L, d, R} (Emax), among the extrema the
+    weights of models.py give."""
+    L, R = drug.dose_range
+    f_L, f_R = drug.regression_rows([L, R])
+    info = _Information(drug)
+    if isinstance(drug.mean, MichaelisMenten):
+        # n.f(d) = det [f(d); f(R)]
+        n = np.array([f_R[1], -f_R[0]])
+        doses = info.extrema(n)
+        return doses[np.argmax(np.abs(drug.regression_rows(doses) @ n))]
+    # n.f(d) with n = f(L) x f(R) would round to eps / (u_R - u_L)^2 in the
+    # saturation u, so the Emax candidates come from det F's own quadratic
+    # (u - u_L)(u_R - u) = 1 - t^2 in the nodes' variable t
+    doses = info._extrema(np.array([1.0, 0.0, -1.0]))
+    dets = [np.linalg.det(np.stack([f_L, f, f_R])) for f in drug.regression_rows(doses)]
+    return doses[np.argmax(np.abs(dets))]
+
+
+def test_d_closed_forms_maximize_the_determinant_of_the_models_weights():
+    count = 0
+    for seed in range(12):
+        for drug, ctrl in _closed_form_draws(seed):
+            L, R = drug.dose_range
+            if isinstance(drug.mean, MichaelisMenten):
+                got = d_opt_mm(drug, ctrl).drug_doses[0]
+            else:
+                got = d_opt_emax(drug, ctrl).drug_doses[1]
+            assert abs(got - _d_optimal_dose(drug)) <= 1e-13 * (R - L), drug
+            count += 1
+    assert count == 144
+
+
+@pytest.mark.xfail(strict=True, reason="the published Poisson Emax form cancels when "
+                   "the saturation range is narrow")
+def test_poisson_emax_closed_form_on_a_narrow_saturation_range():
+    # u = d/(ed50 + d) spans 6.3e-4 on this range.  Against the maximizer found
+    # with mpmath at 40 digits, the extrema's is 7e-18 (R - L) off and the
+    # closed form 7.5e-13 (R - L)
+    drug = DrugModel(Poisson(), Emax(0.2, 0.5, 0.05), (60.0, 250.0))
+    L, R = drug.dose_range
+    got = d_opt_emax(drug, ControlModel(Poisson(), 0.5)).drug_doses[1]
+    assert abs(got - _d_optimal_dose(drug)) <= 1e-13 * (R - L)
 
 
 # ---------------------------------------------------------------------------
@@ -600,6 +737,16 @@ def test_two_inner_doses_that_converge_leave_one_dose():
         assert delta == pytest.approx(reference, rel=1e-12)
         sol = c_opt_numeric(drug, c)
         assert sol.doses == tuple(doses) and sol.delta == pytest.approx(delta, rel=1e-12)
+
+
+def test_gouty_negative_binomial_ac_support_sits_on_the_exact_extremum():
+    # 21.0826213235614 minimizes the variance bound of the support {0, d, 300}
+    # over d, found with mpmath at 40 digits; Newton steps on central
+    # differences of u.f stop 3.7e-9 from it
+    drug, ctrl = gouty_models("negative_binomial")
+    doses = ac_optimal(drug, ctrl).drug_doses
+    assert doses[0] == 0.0 and doses[2] == 300.0
+    assert abs(doses[1] - 21.0826213235614) <= 1e-9
 
 
 def _left_threshold_cases():

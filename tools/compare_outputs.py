@@ -15,7 +15,9 @@ imported: nothing is written under bench/.
 
 With --against FILE the record is compared with FILE's: each operation
 whose record differs, or that only one side has, is named, and the exit
-status is 1 if there is any.  To compare two commits, record one in a
+status is 1 if there is any.  Where both records have the same shape, the
+same text once every number is taken out, the largest relative change
+|a - b| / max(|a|, |b|) among their numbers is printed too.  To compare two commits, record one in a
 checkout of it and compare the other's against that file.
 """
 
@@ -28,12 +30,16 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
 
 import argparse
 import json
+import math
+import re
 import sys
 import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 SEEDS = (1, 2, 3)
+# a number standing alone, not the digits of a name such as float64 or e0
+NUMBER = re.compile(r"(?<![\w.])[-+]?(?:\d+\.?\d*(?:[eE][-+]?\d+)?|inf|nan)(?![\w.])")
 
 
 def record() -> dict:
@@ -55,6 +61,23 @@ def record() -> dict:
     return out
 
 
+def largest_change(old: str, new: str):
+    """(relative change, old number, new number) of the numbers of two
+    records of the same shape that changed most, or None when their shapes
+    differ or no number changed."""
+    if NUMBER.sub("#", old) != NUMBER.sub("#", new):
+        return None
+    largest = None
+    for x, y in zip(NUMBER.findall(old), NUMBER.findall(new)):
+        if x != y:
+            a, b = float(x), float(y)
+            change = abs(a - b) / max(abs(a), abs(b))
+            change = change if math.isfinite(change) else math.inf
+            if largest is None or change > largest[0]:
+                largest = (change, x, y)
+    return largest
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("--out", type=Path, help="write the record to this file")
@@ -70,6 +93,10 @@ def main() -> int:
     differing = sorted(k for k in outputs.keys() | other.keys() if outputs.get(k) != other.get(k))
     for key in differing:
         print(f"  differs: {key}\n    {args.against}: {other.get(key)}\n    here: {outputs.get(key)}")
+        if key in outputs and key in other:
+            largest = largest_change(other[key], outputs[key])
+            if largest is not None:
+                print("    largest relative change: {:.3g} ({} -> {})".format(*largest))
     print(f"{len(differing)} of {len(outputs.keys() | other.keys())} operations differ")
     return 1 if differing else 0
 
